@@ -59,9 +59,11 @@
 # The bench smoke at the end replays the perf trajectory on a reduced
 # universe and writes BENCH_ci.json; it exits non-zero when the solver
 # cache's accounting is inconsistent (hits + misses != queries posed),
-# when the warm-store replay diverges from the cold run, or (on the
-# full universe) when the warm run is under 5x faster or cold solver
-# queries regress above 80% of the PR 3 baseline.  `bench corpus`
+# when the warm-store replay diverges from the cold run, misses a store
+# read or poses a solver query, or (on the full universe) when cold
+# solver queries regress above 80% of the PR 3 baseline or the cold
+# shared run exhausts the solver's witness search more than 6 times.
+# The warm/cold wall-clock ratio is reported, not gated.  `bench corpus`
 # replays the corpus build cold and warm and gates the same invariants
 # on throughput numbers (BENCH_ci_corpus.json).
 cd "$(dirname "$0")/.."

@@ -308,7 +308,7 @@ let cache :
    bounds) only — no {!Jit.Fault.cache_tag} in the key (compiled-code
    mutants cannot change them; the validator's machine-path entries are
    the ones that carry the tag). *)
-let store_ns = "path-summary:1"
+let store_ns = "path-summary:2"
 
 let store_key subject defects max_iterations lookahead =
   Printf.sprintf "%s|defects:%s|iters:%d|lookahead:%b"

@@ -15,7 +15,9 @@
       VM object shapes): tag tests, class tests and structure predicates
       either conflict (Unsat) or resolve to an object description;
    3. interval propagation over the integer atoms (untagged values,
-      object sizes, byte reads) through linear forms;
+      object sizes, byte reads) through linear forms, then a
+      difference-bound check that refutes contradictions between pairs
+      of atoms;
    4. a witness search over the remaining integer/float atoms: biased
       candidates, bounded random sampling, and a linear repair loop. *)
 
@@ -773,6 +775,82 @@ let solve_conjunction ?(seed = 0x5EED) (lits : lit list) : conj_result =
                     | _ -> ())
                 | _ -> ())
               lits;
+          (* 3c. difference-bound refutation.  Steps 3 and 3b bound each
+             atom on its own, so a pair such as i+2 >= s ∧ i+4 <= s —
+             contradictory only as a relation between i and s — reaches
+             the witness search and exhausts it.  Every comparison whose
+             linear form is [x - y + k], [x + k] or [-x + k] with unit
+             coefficients is an integer difference constraint; so is each
+             atom's current interval, against a zero node.  A negative
+             cycle in the constraint graph refutes the conjunction.  The
+             step only ever answers Unsat (it never feeds the search), and
+             it is sound relative to the atom intervals step 3 already
+             treats as hard.  Edges of weight beyond [cap] are dropped —
+             a relaxation, so still sound — to keep path sums far from
+             overflow. *)
+          if not !unsat then begin
+            let cap = 1 lsl 40 in
+            let edges = ref [] in
+            (* x_v - x_u <= w *)
+            let edge u v w = if abs w <= cap then edges := (u, v, w) :: !edges in
+            let index = Hashtbl.create 16 in
+            List.iteri
+              (fun i a ->
+                let iv = get_interval a in
+                Hashtbl.replace index a (i + 1);
+                edge 0 (i + 1) iv.Interval.hi;
+                edge (i + 1) 0 (-iv.Interval.lo))
+              int_atoms;
+            let node t = Hashtbl.find_opt index t in
+            List.iter
+              (function
+                | L_cmp (c, a, b) -> (
+                    (* p - n + k ⋈ 0, with node 0 standing for an absent side *)
+                    let diff =
+                      match linear_form (Sub (a, b)) with
+                      | Some ([ (x, 1) ], k) -> Option.map (fun p -> (p, 0, k)) (node x)
+                      | Some ([ (x, -1) ], k) -> Option.map (fun n -> (0, n, k)) (node x)
+                      | Some ([ (x, 1); (y, -1) ], k) | Some ([ (y, -1); (x, 1) ], k)
+                        -> (
+                          match (node x, node y) with
+                          | Some p, Some n -> Some (p, n, k)
+                          | _ -> None)
+                      | _ -> None
+                    in
+                    Option.iter
+                      (fun (p, n, k) ->
+                        match c with
+                        | Sym_expr.Cle -> edge n p (-k)
+                        | Clt -> edge n p (-k - 1)
+                        | Cge -> edge p n k
+                        | Cgt -> edge p n (k - 1)
+                        | Ceq ->
+                            edge n p (-k);
+                            edge p n k
+                        | Cne -> ())
+                      diff)
+                | _ -> ())
+              lits;
+            let dist = Array.make (List.length int_atoms + 1) 0 in
+            let relax () =
+              List.fold_left
+                (fun changed (u, v, w) ->
+                  if dist.(u) + w < dist.(v) then begin
+                    dist.(v) <- dist.(u) + w;
+                    true
+                  end
+                  else changed)
+                false !edges
+            in
+            (* all-zero distances stand for a virtual source one edge away
+               from every node, so shortest paths settle within
+               [Array.length dist] passes; a change after that is a
+               negative cycle *)
+            let rec passes k =
+              if relax () then if k = 0 then unsat := true else passes (k - 1)
+            in
+            passes (Array.length dist)
+          end;
           if !unsat then C_unsat
           else begin
             (* 4. Witness search. *)
@@ -987,12 +1065,19 @@ let solve_conjunction ?(seed = 0x5EED) (lits : lit list) : conj_result =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Why the decision procedure answered Unknown: the two fragment gates
+   (§4.3), a condition shape [expand] cannot take apart or a disjunction
+   blow-up, or a witness search that ran its whole budget. *)
+type unknown_reason = Bitwise_gate | Precision_gate | Unsupported_shape | Search_exhausted
+
 (* [conds] must already be normalized. *)
-let solve_normalized ~seed (conds : Sym_expr.t list) : verdict =
+let solve_normalized ~seed (conds : Sym_expr.t list) :
+    verdict * unknown_reason option =
   if List.exists Sym_expr.has_bitwise conds then
-    Unknown "bitwise operations unsupported by the constraint solver"
+    ( Unknown "bitwise operations unsupported by the constraint solver",
+      Some Bitwise_gate )
   else if List.exists Limits.expr_exceeds_precision conds then
-    Unknown "constant exceeds 56-bit solver precision"
+    (Unknown "constant exceeds 56-bit solver precision", Some Precision_gate)
   else
     match
       List.fold_left
@@ -1006,19 +1091,22 @@ let solve_normalized ~seed (conds : Sym_expr.t list) : verdict =
               branches)
         [ [] ] conds
     with
-    | exception Give_up reason -> Unknown reason
-    | [] -> Unsat
+    | exception Give_up reason -> (Unknown reason, Some Unsupported_shape)
+    | [] -> (Unsat, None)
     | branches -> (
         let rec try_branches saw_unknown = function
-          | [] -> if saw_unknown then Unknown "all branches unknown" else Unsat
+          | [] ->
+              if saw_unknown then
+                (Unknown "all branches unknown", Some Search_exhausted)
+              else (Unsat, None)
           | br :: rest -> (
               match solve_conjunction ~seed br with
-              | C_sat m -> Sat m
+              | C_sat m -> (Sat m, None)
               | C_unsat -> try_branches saw_unknown rest
               | C_unknown _ -> try_branches true rest)
         in
         try try_branches false branches
-        with Give_up reason -> Unknown reason)
+        with Give_up reason -> (Unknown reason, Some Unsupported_shape))
 
 (* ------------------------------------------------------------------ *)
 (* Canonical (prepared) conjunctions                                    *)
@@ -1152,7 +1240,7 @@ let solve_uncached ?(seed = 0x5EED) (conds : Sym_expr.t list) : verdict =
      walk the same road as the cached entry point. *)
   let p = prepare conds in
   if p.contradicted then Unsat
-  else solve_normalized ~seed (prepared_conds p)
+  else fst (solve_normalized ~seed (prepared_conds p))
 
 (* The memo table.  Keyed on the canonical conjunction's [fingerprint]
    (the same rendering convention [Path.key] and the static caches use)
@@ -1165,7 +1253,7 @@ let memo : (string, verdict) Exec.Memo.t = Exec.Memo.create ~shards:64 ()
 (* The persistent layer: verdicts survive the process when a store is
    active.  Pure function of the key (seed + canonical conjunction), so
    no fault tag is needed — compiled code never enters a solver key. *)
-let store_ns = "solver-verdict:1"
+let store_ns = "solver-verdict:2"
 
 (* Independent of the memo's own hit/miss counters: one increment per
    [solve] call, before the lookup.  The invariant
@@ -1173,6 +1261,33 @@ let store_ns = "solver-verdict:1"
    (the bench harness fails its run when it does not hold). *)
 let queries_posed_counter = Atomic.make 0
 let queries_posed () = Atomic.get queries_posed_counter
+
+(* One counter per [unknown_reason], bumped once per decision-procedure
+   run behind a memo miss.  The memo's in-flight dedup runs each key's
+   procedure exactly once, so the counts are the same at any [-j]. *)
+let unknown_counters = Array.init 4 (fun _ -> Atomic.make 0)
+
+let reason_index = function
+  | Bitwise_gate -> 0
+  | Precision_gate -> 1
+  | Unsupported_shape -> 2
+  | Search_exhausted -> 3
+
+type unknown_counts = {
+  bitwise_gate : int;
+  precision_gate : int;
+  unsupported_shape : int;
+  search_exhausted : int;
+}
+
+let unknown_counts () =
+  let n r = Atomic.get unknown_counters.(reason_index r) in
+  {
+    bitwise_gate = n Bitwise_gate;
+    precision_gate = n Precision_gate;
+    unsupported_shape = n Unsupported_shape;
+    search_exhausted = n Search_exhausted;
+  }
 
 let solve_canon ~seed (p : prepared) : verdict =
   let key = string_of_int seed ^ "|" ^ fingerprint p in
@@ -1182,7 +1297,10 @@ let solve_canon ~seed (p : prepared) : verdict =
         match Exec.Store.lookup ~ns:store_ns ~key with
         | Some v -> v
         | None ->
-            let v = solve_normalized ~seed (prepared_conds p) in
+            let v, why = solve_normalized ~seed (prepared_conds p) in
+            Option.iter
+              (fun r -> Atomic.incr unknown_counters.(reason_index r))
+              why;
             Exec.Store.record ~ns:store_ns ~key v;
             v)
 
@@ -1206,4 +1324,5 @@ let cache_stats () = Exec.Memo.stats memo
 
 let reset_cache () =
   Atomic.set queries_posed_counter 0;
+  Array.iter (fun c -> Atomic.set c 0) unknown_counters;
   Exec.Memo.clear memo

@@ -3,7 +3,9 @@
     Specialised to the constraint shapes the shadow machine emits, in the
     DPLL(T) spirit: bounded expansion of the few disjunctions that arise
     (negated small-int range checks), a type/class assignment pass over
-    oop-sorted terms, interval propagation over the integer atoms, and a
+    oop-sorted terms, interval propagation over the integer atoms, a
+    difference-bound check that refutes contradictions between pairs of
+    atoms (a negative cycle over unit-coefficient comparisons), and a
     witness search (biased candidates, bounded random sampling, linear
     repair).
 
@@ -88,6 +90,21 @@ val queries_posed : unit -> int
     an atomic independent of the memo's own accounting — the oracle for
     the [hits + misses = queries] consistency check in the bench
     harness and CI smoke. *)
+
+type unknown_counts = {
+  bitwise_gate : int;  (** bitwise operation in the conjunction (§4.3) *)
+  precision_gate : int;  (** constant beyond 56-bit precision (§4.3) *)
+  unsupported_shape : int;
+      (** a condition shape the solver cannot take apart, or too many
+          disjunctive branches *)
+  search_exhausted : int;
+      (** neither refuted nor witnessed within the search budget *)
+}
+
+val unknown_counts : unit -> unknown_counts
+(** Unknown verdicts by reason since the last {!reset_cache}, counted
+    once per decision-procedure run behind a memo miss (store hits and
+    {!solve_uncached} do not count).  Deterministic at any [-j]. *)
 
 val reset_cache : unit -> unit
 (** Drop all cached verdicts and zero the counters (bench phases call

@@ -701,7 +701,7 @@ let validate_path_uncached ?se_budget ?query_budget
    configuration, frame shape, stack depth, the full path condition and
    exit, the symbolic-execution budget, and the fault tag (a mutant's
    refuted verdict must never satisfy a pristine lookup). *)
-let verdict_store_ns = "validate-verdict:1"
+let verdict_store_ns = "validate-verdict:2"
 
 let validate_path ?se_budget ?query_budget ~(defects : Interpreter.Defects.t)
     ~(compiler : Jit.Cogits.compiler) ~(arch : Jit.Codegen.arch)

@@ -211,6 +211,32 @@ let test_return_value_recorded () =
   in
   check_bool "return value captured" true (returned.output.return_value <> None)
 
+(* The FFI primitives (ids 100–122) on ExternalAddress: their unrolled
+   per-byte bounds checks used to exhaust the solver's witness search on
+   every contradictory sibling negation.  Refuting those as Unsat moves
+   them from skipped to unsat negations and must change nothing else:
+   the digest of the explored path keys is pinned to its value from
+   before the difference-bound step existed (145 paths, 72 skipped and
+   99 unsat negations then). *)
+let test_ffi_paths_pinned () =
+  let keys = ref [] and skipped = ref 0 and unsat = ref 0 in
+  for id = 100 to 122 do
+    let r =
+      Concolic.Explorer.explore_uncached ~defects:Interpreter.Defects.paper
+        (Concolic.Path.Native id)
+    in
+    skipped := !skipped + r.skipped_negations;
+    unsat := !unsat + r.unsat_negations;
+    keys := List.rev_append (List.map Concolic.Path.key r.paths) !keys
+  done;
+  let keys = List.rev !keys in
+  check_int "paths" 145 (List.length keys);
+  Alcotest.(check string)
+    "path keys unchanged" "2722ec10e4d17059b20295cf3ab9682d"
+    (Digest.to_hex (Digest.string (String.concat "\n" keys)));
+  check_int "skipped negations" 1 !skipped;
+  check_int "unsat negations" 170 !unsat
+
 let suite =
   [
     Alcotest.test_case "add: nine paths (Table 1)" `Quick test_add_paths;
@@ -236,4 +262,6 @@ let suite =
       test_as_float_defect_visible_to_exploration;
     Alcotest.test_case "heap effects recorded" `Quick test_effects_recorded;
     Alcotest.test_case "return value recorded" `Quick test_return_value_recorded;
+    Alcotest.test_case "FFI paths pinned, give-ups refuted" `Quick
+      test_ffi_paths_pinned;
   ]

@@ -400,6 +400,93 @@ let test_normalize_drops_noise () =
   check_bool "complement pair syntactically unsat" true
     (Solve.prepared_unsat (Solve.prepare [ c; Sym.Not c ]))
 
+(* --- difference-bound refutation (step 3c) ---
+
+   The FFI primitives' unrolled per-byte bounds checks pose pairs such
+   as (i+2 >= size) ∧ (i+4 <= size): contradictory only as a relation
+   between the two atoms, which per-atom interval propagation never
+   sees.  Each case builds its own generator so the atoms are named
+   identically whatever ran before. *)
+
+let ffi_pair ~lo ~hi =
+  let gen = Sym.Gen.create () in
+  let i = Sym.Var (Sym.Gen.fresh gen ~name:"i" ~sort:Sym.Oop) in
+  let o = Sym.Var (Sym.Gen.fresh gen ~name:"o" ~sort:Sym.Oop) in
+  let vi = Sym.Integer_value_of i and size = Sym.Indexable_size_of o in
+  [
+    Sym.Is_small_int i;
+    Sym.Has_class (o, Vm_objects.Class_table.external_address_id);
+    Sym.Cmp (Sym.Cge, Sym.Add (vi, Sym.Int_const lo), size);
+    Sym.Cmp (Sym.Cle, Sym.Add (vi, Sym.Int_const hi), size);
+  ]
+
+let search_exhausted () = (Solve.unknown_counts ()).Solve.search_exhausted
+
+let test_ffi_pair_unsat () =
+  Solve.reset_cache ();
+  check_bool "i+2 >= size ∧ i+4 <= size is unsat" true
+    (is_unsat (Solve.solve (ffi_pair ~lo:2 ~hi:4)));
+  Alcotest.(check int) "refuted before the witness search" 0
+    (search_exhausted ())
+
+let test_ffi_sibling_sat () =
+  (* size ∈ {i+1, i+2}: satisfiable, and the model is the one the
+     witness search produced before the refutation step existed *)
+  let conds = ffi_pair ~lo:2 ~hi:1 in
+  let m = sat_model conds in
+  check_bool "model satisfies the pair" true (model_satisfies m conds);
+  let bindings =
+    List.sort compare
+      (List.map (fun (a, v) -> (Sym.to_string a, v)) (Model.int_bindings m))
+  in
+  Alcotest.(check (list (pair string int)))
+    "same witness as the plain search"
+    [ ("indexableSizeOf(o_1)", 1); ("intValueOf(i_0)", 0) ]
+    bindings
+
+let test_difference_bound_scope () =
+  (* Disequalities and non-unit coefficients are not difference
+     constraints: the refutation step skips them, so these conjunctions
+     still reach the witness search — which finds the satisfiable ones
+     and exhausts itself on the contradictory ones. *)
+  let x = int_var "dx" and y = int_var "dy" in
+  let cmp c a b = Sym.Cmp (c, a, b) in
+  let two_x = Sym.Mul (Sym.Int_const 2, x) in
+  Solve.reset_cache ();
+  check_bool "x <> y ∧ y <= x <= y+1 sat" true
+    (is_sat
+       (Solve.solve
+          [ cmp Sym.Cne x y; cmp Sym.Cge x y; cmp Sym.Cle x (Sym.Add (y, Sym.Int_const 1)) ]));
+  check_bool "2x - y in [1, 3] sat" true
+    (is_sat
+       (Solve.solve
+          [ cmp Sym.Cge (Sym.Sub (two_x, y)) (Sym.Int_const 1);
+            cmp Sym.Cle (Sym.Sub (two_x, y)) (Sym.Int_const 3) ]));
+  Alcotest.(check int) "satisfiable ones never give up" 0 (search_exhausted ());
+  check_bool "x <> y ∧ x = y via two bounds: unknown" true
+    (is_unknown (Solve.solve [ cmp Sym.Cne x y; cmp Sym.Cge x y; cmp Sym.Cle x y ]));
+  check_bool "2x - y >= 1 ∧ y - 2x >= 0: unknown" true
+    (is_unknown
+       (Solve.solve
+          [ cmp Sym.Cge (Sym.Sub (two_x, y)) (Sym.Int_const 1);
+            cmp Sym.Cge (Sym.Sub (y, two_x)) (Sym.Int_const 0) ]));
+  Alcotest.(check int) "both exhausted the witness search" 2
+    (search_exhausted ())
+
+let test_unknown_counts_by_reason () =
+  let x = int_var "ux" in
+  Solve.reset_cache ();
+  ignore (Solve.solve [ Sym.Cmp (Sym.Ceq, Sym.Bit_xor (x, Sym.Int_const 1), Sym.Int_const 1) ]);
+  ignore (Solve.solve [ Sym.Cmp (Sym.Cgt, x, Sym.Int_const (1 lsl 57)) ]);
+  (* a memo hit is not a second decision-procedure run *)
+  ignore (Solve.solve [ Sym.Cmp (Sym.Cgt, x, Sym.Int_const (1 lsl 57)) ]);
+  let c = Solve.unknown_counts () in
+  Alcotest.(check (list int)) "bitwise, precision, shape, search" [ 1; 1; 0; 0 ]
+    [ c.bitwise_gate; c.precision_gate; c.unsupported_shape; c.search_exhausted ];
+  Solve.reset_cache ();
+  Alcotest.(check int) "reset zeroes the counts" 0
+    (Solve.unknown_counts ()).precision_gate
+
 let suite =
   [
     Alcotest.test_case "empty conjunction sat" `Quick test_empty_is_sat;
@@ -432,4 +519,11 @@ let suite =
       test_permuted_conjunction_hits_memo;
     Alcotest.test_case "normalize drops noise" `Quick
       test_normalize_drops_noise;
+    Alcotest.test_case "FFI bounds pair unsat" `Quick test_ffi_pair_unsat;
+    Alcotest.test_case "FFI sibling keeps its witness" `Quick
+      test_ffi_sibling_sat;
+    Alcotest.test_case "difference bounds skip <> and non-unit" `Quick
+      test_difference_bound_scope;
+    Alcotest.test_case "unknown counts by reason" `Quick
+      test_unknown_counts_by_reason;
   ]

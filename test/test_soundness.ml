@@ -175,6 +175,140 @@ let qcheck_solver_deterministic =
       in
       run () = run ())
 
+(* The Unsat oracle: every Unsat the solver answers must have no model.
+   Conjunctions of unit-coefficient comparisons over 2–4 integer atoms
+   (untagged small ints and the size of a byte object, each behind its
+   sort guard), every atom boxed to 0..7 by explicit conjuncts, so
+   enumerating the box decides each conjunction exactly.  Both the
+   decision procedure and the syntactic refutation of [prepare] are
+   checked against the enumeration. *)
+
+(* (form, comparison, atom, atom, constant) *)
+type rel = int * int * int * int * int
+
+let cmps = Sym.[| Ceq; Cne; Clt; Cle; Cgt; Cge |]
+
+let rel_to_expr atoms ((form, c, i, j, k) : rel) : Sym.t =
+  let n = Array.length atoms in
+  let a = atoms.(i mod n) and b = atoms.(j mod n) and c = cmps.(c) in
+  match form with
+  | 0 -> Sym.Cmp (c, Sym.Add (a, Sym.Int_const k), b)
+  | 1 -> Sym.Cmp (c, a, Sym.Int_const k)
+  | 2 -> Sym.Cmp (c, Sym.Add (a, b), Sym.Int_const k)
+  | 3 -> Sym.Cmp (c, Sym.Int_const k, a)
+  | _ -> Sym.Not (Sym.Cmp (c, Sym.Sub (a, b), Sym.Int_const k))
+
+(* atoms: intValueOf of [n_ints] small ints, plus the size of one byte
+   object when [with_size] *)
+let box_conjunction (n_ints, with_size, rels) =
+  let gen = Sym.Gen.create () in
+  let oop name = Sym.Var (Sym.Gen.fresh gen ~name ~sort:Sym.Oop) in
+  let ints = List.init n_ints (fun i -> oop (Printf.sprintf "v%d" i)) in
+  let bytes = oop "b" in
+  let atoms =
+    Array.of_list
+      ((if with_size then [ Sym.Indexable_size_of bytes ] else [])
+      @ List.map (fun v -> Sym.Integer_value_of v) ints)
+  in
+  let guards =
+    (if with_size then [ Sym.Is_bytes bytes ] else [])
+    @ List.map (fun v -> Sym.Is_small_int v) ints
+  in
+  let box =
+    List.concat_map
+      (fun a -> [ Sym.Cmp (Sym.Cge, a, Sym.Int_const 0); Sym.Cmp (Sym.Cle, a, Sym.Int_const 7) ])
+      (Array.to_list atoms)
+  in
+  (atoms, guards @ box @ List.map (rel_to_expr atoms) rels)
+
+(* Does any assignment of the box satisfy every comparison? *)
+let box_has_model atoms conds =
+  let env = Solver.Eval.create_env () in
+  let rec holds (e : Sym.t) =
+    match e with
+    | Cmp (c, a, b) ->
+        Solver.Eval.cmp_holds c (Solver.Eval.eval_int env a)
+          (Solver.Eval.eval_int env b)
+    | Not e -> not (holds e)
+    | _ -> true (* sort guards: every box value is well-sorted *)
+  in
+  let rec assign i =
+    if i = Array.length atoms then List.for_all holds conds
+    else
+      List.exists
+        (fun v ->
+          Hashtbl.replace env.ints atoms.(i) v;
+          assign (i + 1))
+        [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+  in
+  assign 0
+
+let arbitrary_box_conjunction =
+  let open QCheck.Gen in
+  let rel =
+    map
+      (fun (form, c, i, j, k) -> ((form, c, i, j, k) : rel))
+      (tup5 (int_range 0 4) (int_range 0 5) (int_range 0 3) (int_range 0 3)
+         (int_range (-8) 8))
+  in
+  let gen =
+    int_range 2 4 >>= fun n ->
+    bool >>= fun with_size ->
+    let n_ints = if with_size then n - 1 else n in
+    map (fun rels -> (n_ints, with_size, rels)) (list_size (int_range 1 6) rel)
+  in
+  QCheck.make gen
+    ~print:(fun case ->
+      String.concat " & " (List.map Sym.to_string (snd (box_conjunction case))))
+    ~shrink:(fun (n, w, rels) ->
+      QCheck.Iter.map (fun rels -> (n, w, rels)) (QCheck.Shrink.list rels))
+
+let unsat_is_sound case =
+  let atoms, conds = box_conjunction case in
+  let refuted =
+    Solver.Solve.prepared_unsat (Solver.Solve.prepare conds)
+    ||
+    match Solver.Solve.solve_uncached conds with
+    | Solver.Solve.Unsat -> true
+    | Sat _ | Unknown _ -> false
+  in
+  (not refuted) || not (box_has_model atoms conds)
+
+let qcheck_unsat_has_no_model =
+  QCheck.Test.make ~name:"qcheck: every Unsat has no model in the box"
+    ~count:300 arbitrary_box_conjunction unsat_is_sound
+
+(* Shrunk counterexamples the oracle reported against deliberately
+   unsound variants of the difference-bound step (a strict bound one too
+   tight, a non-strict bound one too tight, an interval edge one too
+   tight, a negated atom's sign dropped).  Each is satisfiable in the
+   box, so a sound solver must not refute it. *)
+let unsat_regressions : (int * bool * rel list) list =
+  [
+    (* v0 > 2 ∧ ¬(v0 - v1 >= -3) *)
+    (2, false, [ (1, 4, 0, 0, 2); (4, 5, 0, 1, -3) ]);
+    (* v0 - 7 = v3 *)
+    (4, false, [ (0, 0, 0, 3, -7) ]);
+    (* v1 < 1 *)
+    (3, false, [ (1, 2, 1, 1, 1) ]);
+    (* 1 <= v0, next to a byte object's size *)
+    (1, true, [ (3, 3, 1, 1, 1) ]);
+  ]
+
+let test_unsat_regressions () =
+  List.iter
+    (fun case ->
+      let atoms, conds = box_conjunction case in
+      check_bool "satisfiable in the box" true (box_has_model atoms conds);
+      check_bool "not refuted" true (unsat_is_sound case))
+    unsat_regressions;
+  (* and the FFI bounds pair, v0+2 >= size ∧ v0+4 <= size, is refuted *)
+  let ffi = (1, true, [ (0, 5, 1, 0, 2); (0, 3, 1, 0, 4) ]) in
+  let atoms, conds = box_conjunction ffi in
+  check_bool "FFI pair has no model" false (box_has_model atoms conds);
+  check_bool "FFI pair refuted" true
+    (Solver.Solve.solve_uncached conds = Solver.Solve.Unsat)
+
 (* Exploration as a whole never crashes on any single instruction and
    always yields at least one path for supported ones. *)
 let test_every_bytecode_explores () =
@@ -200,6 +334,8 @@ let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_sat_models_are_sound;
     QCheck_alcotest.to_alcotest qcheck_solver_deterministic;
+    QCheck_alcotest.to_alcotest qcheck_unsat_has_no_model;
+    Alcotest.test_case "Unsat oracle regressions" `Quick test_unsat_regressions;
     Alcotest.test_case "every byte-code explores" `Slow test_every_bytecode_explores;
     Alcotest.test_case "every native method explores" `Slow test_every_native_explores;
   ]
