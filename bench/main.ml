@@ -27,7 +27,24 @@ let defects = Interpreter.Defects.paper
 let add_bc = Concolic.Path.Bytecode (Bytecodes.Opcode.Arith_special Bytecodes.Opcode.Sel_add)
 
 (* Memoised campaign: the tables and figures all read from one run. *)
-let campaign = lazy (Ijdt_core.Campaign.run ~defects ())
+let campaign = lazy (Ijdt_core.Campaign.run_supervised ~defects ()).sup_campaign
+
+(* A fresh persistent store in the temp directory, removed again when
+   the process exits — gate failures included, since [exit] runs the
+   [at_exit] handlers. *)
+let activate_scratch_store name =
+  let rec rm_rf path =
+    match Sys.is_directory path with
+    | true ->
+        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+        Sys.rmdir path
+    | false -> Sys.remove path
+    | exception Sys_error _ -> ()
+  in
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) name in
+  rm_rf dir;
+  at_exit (fun () -> rm_rf dir);
+  Exec.Store.activate dir
 
 (* --- Bechamel micro-benchmarks: one Test.make per table/figure --- *)
 
@@ -334,17 +351,9 @@ let run_perf ~jobs ~quick ~json_label () =
           List.map (fun s -> (c, s)) ss)
         cs
     in
-    let flat = Ijdt_core.Campaign.run_units ~jobs ~defects ~arches units in
-    List.map
-      (fun c ->
-        {
-          Ijdt_core.Campaign.compiler = c;
-          instructions =
-            List.filter_map
-              (fun (c', r) -> if c' = c then Some r else None)
-              flat;
-        })
-      cs
+    (Ijdt_core.Campaign.run_supervised ~jobs ~defects ~arches ~compilers:cs
+       ~units ())
+      .sup_campaign.results
   in
   (* cumulative cache counters: the no-sharing baseline resets the
      caches between compilers, so it harvests into these before each
@@ -476,21 +485,7 @@ let run_perf ~jobs ~quick ~json_label () =
      every exploration summary (and with it every solver verdict) read
      back instead of recomputed — and must agree with the cold run on
      everything except wall clock. *)
-  let rec rm_rf path =
-    match Sys.is_directory path with
-    | true ->
-        Array.iter
-          (fun e -> rm_rf (Filename.concat path e))
-          (Sys.readdir path);
-        Sys.rmdir path
-    | false -> Sys.remove path
-    | exception Sys_error _ -> ()
-  in
-  let store_dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "ijdt-bench-store"
-  in
-  rm_rf store_dir;
-  Exec.Store.activate store_dir;
+  activate_scratch_store "ijdt-bench-store";
   let strip (r : Ijdt_core.Campaign.instruction_result) =
     { r with Ijdt_core.Campaign.explore_time = 0.0; test_time = 0.0 }
   in
@@ -910,21 +905,7 @@ let run_corpus ~jobs ~n ~seed ~json_label () =
     Ijdt_core.Campaign.bytecode_subjects ()
     @ Ijdt_core.Campaign.native_subjects ()
   in
-  let rec rm_rf path =
-    match Sys.is_directory path with
-    | true ->
-        Array.iter
-          (fun e -> rm_rf (Filename.concat path e))
-          (Sys.readdir path);
-        Sys.rmdir path
-    | false -> Sys.remove path
-    | exception Sys_error _ -> ()
-  in
-  let store_dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "ijdt-bench-corpus-store"
-  in
-  rm_rf store_dir;
-  Exec.Store.activate store_dir;
+  activate_scratch_store "ijdt-bench-corpus-store";
   let build () =
     Templates.Corpus.build ~jobs ~curated ~seed ~target:n ()
   in

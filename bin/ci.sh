@@ -14,7 +14,12 @@
 # and the worker-domain count with CI_JOBS.  Unbudgeted validation
 # output is byte-identical at any -j; with a budget the query cap is
 # enforced but runs that actually exhaust it may differ slightly in
-# which verdicts degrade to Unknown (see Campaign.run_units).
+# which verdicts degrade to Unknown (see Campaign.run_supervised).
+# A second validation run sweeps a seeded 2k template-extracted corpus
+# (seeded defects: its pristine sweep confirms refutations that are all
+# Optimisation difference or Missing Functionality witnesses, so the
+# pristine gate would stop the script) at -j 1 and -j 2; the two
+# reports, cache counters included, must be byte-identical.
 #
 # The mutation gates follow: `vmtest mutate --pristine` runs every
 # scheduled unit under an inert identity mutant and fails the build on
@@ -114,6 +119,12 @@ print(f"ci: validation gate covered {len(v['arches'])} ISAs x "
       f"{len(v['compilers'])} compilers")
 EOF
 echo "ci: validation report at $CI_VALIDATE_REPORT"
+for j in 1 2; do
+  dune exec bin/vmtest.exe -- validate --corpus extracted:2000 --seed 42 \
+    -j "$j" --json "_build/ci-validate-x-j$j.json" > /dev/null
+done
+cmp _build/ci-validate-x-j1.json _build/ci-validate-x-j2.json
+echo "ci: extracted-corpus validate report is byte-identical at -j 1 and -j 2"
 dune exec bin/vmtest.exe -- mutate --pristine -j "$CI_JOBS" > /dev/null
 echo "ci: mutation pristine gate passed (zero false kills)"
 dune exec bin/vmtest.exe -- mutate -j "$CI_JOBS" --per-operator 1 \

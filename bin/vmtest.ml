@@ -225,18 +225,7 @@ let jobs_arg =
            domain count).  Count-based output and JSON reports are \
            byte-identical at any $(docv).")
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Exec.Journal.json_escape
 
 let defects_label d =
   if d = Interpreter.Defects.paper then "paper"
@@ -757,7 +746,7 @@ let json_counts (v : Ijdt_core.Campaign.validation_counts) =
      \"unknown\":%d,\"skipped\":%d,\"queries\":%d}"
     v.proved v.refuted v.missing v.spurious v.unknown v.skipped v.queries
 
-let write_validation_json file ~pristine ~confirmed
+let write_validation_json file ~pristine ~confirmed ~caches
     (s : Ijdt_core.Campaign.supervised) =
   let c = s.Ijdt_core.Campaign.sup_campaign in
   let oc = open_out file in
@@ -778,9 +767,11 @@ let write_validation_json file ~pristine ~confirmed
   in
   let t = Ijdt_core.Campaign.validation_totals c in
   let validated = t.proved + t.refuted + t.spurious + t.unknown in
-  let cache_json (s : Exec.Memo.stats) =
-    Printf.sprintf "{\"hits\":%d,\"misses\":%d}" s.hits s.misses
+  let cache_json (before : Exec.Memo.stats) (now : Exec.Memo.stats) =
+    Printf.sprintf "{\"hits\":%d,\"misses\":%d}" (now.hits - before.hits)
+      (now.misses - before.misses)
   in
+  let solver0, paths0 = caches in
   Printf.fprintf oc
     "{\"arches\":[%s],\"compilers\":[%s],\"totals\":%s,\
      \"unknown_rate\":%.4f,\"caches\":{\"solver\":%s,\
@@ -794,8 +785,8 @@ let write_validation_json file ~pristine ~confirmed
     (json_counts t)
     (if validated = 0 then 0.0
      else float_of_int t.unknown /. float_of_int validated)
-    (cache_json (Solver.Solve.cache_stats ()))
-    (cache_json (Concolic.Explorer.cache_stats ()))
+    (cache_json solver0 (Solver.Solve.cache_stats ()))
+    (cache_json paths0 (Concolic.Explorer.cache_stats ()))
     (json_store ()) pristine confirmed
     ((not pristine) || confirmed = 0)
     (json_supervision s);
@@ -912,6 +903,10 @@ let validate_cmd =
           List.map (fun s -> (compiler, s)) subjects)
         compilers
     in
+    (* the report's cache counters cover the validation run alone: an
+       extracted corpus is built above in [-j]-wide waves, so its share
+       of the counters differs across [-j] *)
+    let caches = (Solver.Solve.cache_stats (), Concolic.Explorer.cache_stats ()) in
     let s =
       Ijdt_core.Campaign.run_supervised ~jobs ?workers
         ~worker_deadline_s:worker_deadline ~max_iterations ~validate:true
@@ -944,7 +939,7 @@ let validate_cmd =
       Ijdt_core.Tables.supervision_table Format.std_formatter s
     end;
     (match json with
-    | Some file -> write_validation_json file ~pristine ~confirmed s
+    | Some file -> write_validation_json file ~pristine ~confirmed ~caches s
     | None -> ());
     if s.sup_interrupted then exit 130;
     if pristine && confirmed > 0 then begin

@@ -113,62 +113,10 @@ val test_instruction :
     translation validation (pass 5) on every path x arch; [budget] caps
     its solver queries, shared across calls via the ref. *)
 
-val run_units :
-  ?jobs:int ->
-  ?max_iterations:int ->
-  ?validate:bool ->
-  ?budget:int ref ->
-  defects:Interpreter.Defects.t ->
-  arches:Jit.Codegen.arch list ->
-  (Jit.Cogits.compiler * Concolic.Path.subject) list ->
-  (Jit.Cogits.compiler * instruction_result) list
-(** The parallel fan-out primitive: run each (compiler, subject) unit
-    through {!test_instruction}, dealing units to up to [jobs] domains
-    (default {!Exec.Pool.default_jobs}; [1] = sequential in the caller).
-    Results come back in the input's order whatever the worker count, so
-    everything derived from them is byte-identical at any [-j].  Each
-    unit runs entirely on one domain (exact per-unit query counts).
-    With [budget], the shared ref is decremented racily across domains:
-    a few extra queries may slip through before exhaustion, degrading
-    some verdicts to Unknown — budgeted parallel runs are capped but not
-    exactly reproducible; unbudgeted runs are. *)
-
-val units_for :
-  Jit.Cogits.compiler list ->
-  (Jit.Cogits.compiler * Concolic.Path.subject) list
-(** Every compiler paired with each subject of its test universe, in
-    stable (compiler, subject) order. *)
-
-val run_compiler :
-  ?jobs:int ->
-  ?max_iterations:int ->
-  ?validate:bool ->
-  ?budget:int ref ->
-  defects:Interpreter.Defects.t ->
-  arches:Jit.Codegen.arch list ->
-  Jit.Cogits.compiler ->
-  compiler_result
-
-val run :
-  ?jobs:int ->
-  ?max_iterations:int ->
-  ?validate:bool ->
-  ?budget:int ref ->
-  ?defects:Interpreter.Defects.t ->
-  ?arches:Jit.Codegen.arch list ->
-  ?compilers:Jit.Cogits.compiler list ->
-  unit ->
-  t
-(** The full evaluation (defaults: paper defects, both ISAs, all four
-    compilers, no translation validation).  All compilers' units fan
-    into one {!run_units} pool; the grouped result is independent of
-    [jobs]. *)
-
 (** {1 Supervised runs}
 
-    The fault-tolerant engine: same universe and per-unit work as
-    {!run}, but every (compiler × subject) unit goes through
-    {!Exec.Supervise} — isolated (a crash is a recorded verdict, not a
+    The one way to run campaign units: every (compiler × subject) unit
+    goes through {!test_instruction} under {!Exec.Supervise} — isolated (a crash is a recorded verdict, not a
     dead run), budgeted (the {!Exec.Budget} fuel watchdog turns hangs
     into [Timed_out]), retried with deterministic backoff, quarantined
     behind a per-compiler circuit breaker, optionally journalled for
@@ -222,9 +170,20 @@ val run_supervised :
   ?units:(Jit.Cogits.compiler * Concolic.Path.subject) list ->
   unit ->
   supervised
-(** Supervised {!run}.  [corpus] (default {!Corpus_curated}) selects
-    the test universe; extracted runs tag the journal configuration, so
-    curated and extracted journals never mix.
+(** The full evaluation (defaults: paper defects, all three ISAs, all
+    four compilers, no translation validation): every compiler's units
+    fan into one pool of up to [jobs] domains (default
+    {!Exec.Pool.default_jobs}; [1] = sequential in the caller) and are
+    regrouped by compiler in stable order, so the result is independent
+    of [jobs].  [corpus] (default {!Corpus_curated}) selects the test
+    universe; extracted runs tag the journal configuration, so curated
+    and extracted journals never mix.
+
+    [budget] caps translation validation's solver queries, shared across
+    units via the ref.  In-process it is decremented racily across
+    domains: a few extra queries may slip through before exhaustion,
+    degrading some verdicts to Unknown — budgeted parallel runs are
+    capped but not exactly reproducible; unbudgeted runs are.
 
     [workers] runs the units in that many disposable worker processes
     ({!Exec.Procpool}) instead of in-process domains: a unit crash or
@@ -242,10 +201,10 @@ val run_supervised :
     OS-buffered tail can be lost to a hard kill, torn lines are still
     detected and skipped on load.
 
-    [units] overrides the
-    default universe
-    ([units_for compilers]) — the [vmtest validate] subcommand uses it
-    for single-instruction runs; compilers absent from [units] simply
+    [units] overrides the default universe (each of [compilers] paired
+    with every subject of its universe under [corpus], in stable
+    order) — the [vmtest validate] subcommand uses it for
+    single-instruction runs; compilers absent from [units] simply
     produce empty rows.  [chaos:(seed, faults)] injects that many
     seeded harness faults via {!Exec.Chaos.plan}.  [journal] appends
     completed unit verdicts to an append-only JSONL file ([Ok]
@@ -338,8 +297,6 @@ type oracle_snapshot = {
     counts or times, which vary with cache warmth rather than with the
     compiled code. *)
 
-val snapshot_of : instruction_result -> oracle_snapshot
-
 val decide : baseline:oracle_snapshot -> mutant:oracle_snapshot -> kill
 (** Kill attribution in oracle order: static, then validate, then
     difftest; equal snapshots survive. *)
@@ -369,9 +326,6 @@ type kill_matrix = {
   km_process : Exec.Procpool.stats option;
       (** pool statistics, [Some] iff the run used [~workers] *)
 }
-
-val kill_of_name : string -> kill
-(** Inverse of {!kill_name}; raises [Failure] on unknown names. *)
 
 val kill_matrix :
   ?jobs:int ->
@@ -447,5 +401,5 @@ val worker_main : unit -> unit
     marshalled run configuration in the Hello frame (task kind,
     defects, arches, policy, per-worker budget, chaos recipe, shared
     {!Exec.Store} root), then executes dealt campaign or mutation units
-    with exactly the in-process retry/backoff/attempt accounting.
+    through {!Exec.Supervise.execute}, the in-process retry loop.
     Never returns. *)

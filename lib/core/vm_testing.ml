@@ -62,10 +62,11 @@ let run_path ?(defects = Interpreter.Defects.paper) ~(compiler : compiler)
 
 let campaign ?max_iterations ?defects ?(arches = [ `X86; `Arm32; `Rv32 ])
     ?compilers () =
-  Campaign.run ?max_iterations ?defects
-    ~arches:(List.map to_arch arches)
-    ?compilers:(Option.map (List.map to_cogit) compilers)
-    ()
+  (Campaign.run_supervised ?max_iterations ?defects
+     ~arches:(List.map to_arch arches)
+     ?compilers:(Option.map (List.map to_cogit) compilers)
+     ())
+    .sup_campaign
 
 let print_tables ?(ppf = Format.std_formatter) c = Tables.all ppf c
 

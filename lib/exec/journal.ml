@@ -29,13 +29,35 @@ let json_escape s =
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
       | c when Char.code c < 0x20 ->
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
+
+let entry_of_outcome ~key ~encode (o : _ Supervise.outcome) =
+  let entry status detail payload =
+    { key; status; attempts = o.attempts; detail; payload }
+  in
+  match o.verdict with
+  | Supervise.Ok r -> entry Ok "" (encode r)
+  | Supervise.Timed_out reason -> entry Timed_out reason ""
+  | Supervise.Unit_crashed f -> entry Crashed f.exn ""
+  | Supervise.Worker_died status ->
+      (* journaled so a resume skips the poison unit instead of re-dying
+         on it *)
+      entry Worker_died status ""
+  | Supervise.Quarantined _ -> invalid_arg "Journal.entry_of_outcome: quarantined"
+
+let outcome_of_entry ~decode e : _ Supervise.outcome =
+  let verdict =
+    match e.status with
+    | Ok -> Supervise.Ok (decode e.payload)
+    | Timed_out -> Supervise.Timed_out e.detail
+    | Crashed -> Supervise.Unit_crashed { exn = e.detail; backtrace = "" }
+    | Worker_died -> Supervise.Worker_died e.detail
+  in
+  { verdict; attempts = e.attempts }
 
 let to_hex s =
   let buf = Buffer.create (2 * String.length s) in

@@ -44,5 +44,19 @@ val load : config:string -> string -> (string, entry) Hashtbl.t
     is missing, has no parseable header, or was written under a
     different configuration fingerprint. *)
 
+val entry_of_outcome :
+  key:string -> encode:('a -> string) -> 'a Supervise.outcome -> entry
+(** The journal line of one completed unit; [encode] turns an [Ok]
+    result into the payload.  Raises [Invalid_argument] on
+    [Quarantined], which is never journaled (a resumed run re-derives
+    it). *)
+
+val outcome_of_entry : decode:(string -> 'a) -> entry -> 'a Supervise.outcome
+(** Inverse of {!entry_of_outcome}, [decode] reading an [Ok] payload
+    back; a crash's backtrace is not journaled and comes back [""]. *)
+
 val json_escape : string -> string
-(** Escape a string for embedding in a JSON double-quoted literal. *)
+(** Escape a string for embedding in a JSON double-quoted literal:
+    quote, backslash and newline get their short escapes, every other
+    control character becomes a [\u00XX] escape.  Shared by the
+    journal and the CLI's [--json] reports. *)

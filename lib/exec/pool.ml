@@ -6,12 +6,12 @@
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-type failure = { exn : exn; backtrace : Printexc.raw_backtrace }
-
+(* Every job runs to completion and keeps its own outcome: one raising
+   job costs exactly its slot, never a sibling's result. *)
 let run_one f x =
   match f x with
   | v -> Ok v
-  | exception exn -> Error { exn; backtrace = Printexc.get_raw_backtrace () }
+  | exception exn -> Error (exn, Printexc.get_raw_backtrace ())
 
 let run_results ?jobs f xs =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
@@ -44,7 +44,7 @@ let mapi ?jobs f xs =
     (Array.map
        (function
          | Ok v -> v
-         | Error { exn; backtrace } -> Printexc.raise_with_backtrace exn backtrace)
+         | Error (exn, backtrace) -> Printexc.raise_with_backtrace exn backtrace)
        results)
 
 let map ?jobs f xs = mapi ?jobs (fun _ x -> f x) xs

@@ -11,29 +11,15 @@
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the [-j] default. *)
 
-type failure = {
-  exn : exn;  (** the exception the job raised *)
-  backtrace : Printexc.raw_backtrace;
-}
-
-val run_results :
-  ?jobs:int -> ('a -> 'b) -> 'a array -> ('b, failure) result array
-(** [run_results ~jobs f xs] runs every [f xs.(i)] to completion on up
-    to [jobs] domains (the calling domain works too) and returns each
-    job's own outcome in input order: [Ok v], or [Error] capturing the
-    exception that job raised.  One crashing job costs exactly its own
-    slot — every other result is preserved.  [jobs <= 1], or fewer than
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~jobs f xs] is [List.map f xs] computed on up to [jobs]
+    domains (the calling domain works too); [jobs <= 1], or fewer than
     two jobs, runs sequentially in the caller with no domain spawned.
     [f] must be safe to call from multiple domains concurrently on
-    distinct elements. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] is [List.map f xs] computed via {!run_results}.
-    If any job raises, the failure at the {e lowest} input index is
-    re-raised in the caller (with its backtrace) after all jobs drain —
-    deterministic at any [-j], unlike the pre-supervisor pool which
-    re-raised whichever failure won a race and discarded every
-    completed result. *)
+    distinct elements.  Every job runs to completion; if any raised, the
+    failure at the {e lowest} input index is re-raised in the caller
+    (with its backtrace) after all jobs drain — deterministic at any
+    [-j]. *)
 
 val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
 (** {!map} with the element's stable index. *)

@@ -57,6 +57,25 @@ let backoff ~policy ~idx ~attempt =
     Domain.cpu_relax ()
   done
 
+let execute ~policy ~fault ~idx ~first f =
+  let once () =
+    Chaos.with_fault fault @@ fun () ->
+    Budget.with_budget ?fuel:policy.fuel ?deadline_s:policy.deadline_s f
+  in
+  let rec go a =
+    match once () with
+    | v -> { verdict = Ok v; attempts = a }
+    | exception Budget.Exhausted reason ->
+        if a <= policy.retries then (backoff ~policy ~idx ~attempt:a; go (a + 1))
+        else { verdict = Timed_out reason; attempts = a }
+    | exception e ->
+        let backtrace = Printexc.get_backtrace () in
+        let failure = { exn = Printexc.to_string e; backtrace } in
+        if a <= policy.retries then (backoff ~policy ~idx ~attempt:a; go (a + 1))
+        else { verdict = Unit_crashed failure; attempts = a }
+  in
+  go first
+
 let tally outs =
   Array.fold_left
     (fun c o ->
@@ -170,11 +189,6 @@ let run ?jobs ?(policy = default_policy) ?(chaos = fun _ -> None) ?precomputed ?
     in
     streak (posn.(idx) - 1) 0
   in
-  let attempt idx u =
-    Chaos.with_fault (chaos idx) @@ fun () ->
-    Budget.with_budget ?fuel:policy.fuel ?deadline_s:policy.deadline_s @@ fun () ->
-    f u
-  in
   let run_unit idx =
     if Atomic.get raw.(idx) = None then
       if Interrupt.requested () then
@@ -186,19 +200,9 @@ let run ?jobs ?(policy = default_policy) ?(chaos = fun _ -> None) ?precomputed ?
         Atomic.set raw.(idx)
           (Some { verdict = Quarantined group_name.(idx); attempts = 0 })
       else begin
-        let rec go a =
-          match attempt idx units.(idx) with
-          | v -> { verdict = Ok v; attempts = a }
-          | exception Budget.Exhausted reason ->
-              if a <= policy.retries then (backoff ~policy ~idx ~attempt:a; go (a + 1))
-              else { verdict = Timed_out reason; attempts = a }
-          | exception e ->
-              let backtrace = Printexc.get_backtrace () in
-              let failure = { exn = Printexc.to_string e; backtrace } in
-              if a <= policy.retries then (backoff ~policy ~idx ~attempt:a; go (a + 1))
-              else { verdict = Unit_crashed failure; attempts = a }
+        let o =
+          execute ~policy ~fault:(chaos idx) ~idx ~first:1 (fun () -> f units.(idx))
         in
-        let o = go 1 in
         Atomic.set raw.(idx) (Some o);
         match record with
         | None -> ()

@@ -103,9 +103,21 @@ val breaker_postpass :
     the streak).  Exposed so the procpool merge applies exactly the
     in-process rule after collecting worker results. *)
 
-val backoff : policy:policy -> idx:int -> attempt:int -> unit
-(** Seed-derived retry backoff spin — exported so worker processes
-    replicate the coordinator's retry behaviour exactly. *)
+val execute :
+  policy:policy ->
+  fault:Chaos.kind option ->
+  idx:int ->
+  first:int ->
+  (unit -> 'b) ->
+  'b outcome
+(** The retry loop of one unit, shared by {!run} and the worker
+    processes: attempt [first], [first + 1], ... of [f] each run under
+    [fault] and a fresh {!Budget} from [policy]; an exhausted budget or
+    an exception is retried after a seed-derived backoff spin keyed on
+    [idx] while the attempt number is at most [policy.retries], then
+    becomes [Timed_out] or [Unit_crashed].  A worker passes the
+    coordinator's deal count as [first], so death re-deals and
+    in-worker retries share one budget. *)
 
 val tally : 'a outcome array -> counts
 (** Aggregate verdict counts over a slice of outcomes. *)

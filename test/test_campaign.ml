@@ -8,7 +8,10 @@ let check_bool = Alcotest.(check bool)
 
 (* One shared campaign for all assertions in this module (it runs in
    under a second). *)
-let campaign = lazy (Ijdt_core.Campaign.run ~defects:Interpreter.Defects.paper ())
+let campaign =
+  lazy
+    (Ijdt_core.Campaign.run_supervised ~defects:Interpreter.Defects.paper ())
+      .sup_campaign
 
 let row compiler =
   let c = Lazy.force campaign in

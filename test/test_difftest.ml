@@ -211,7 +211,7 @@ let test_heap_effect_validation () =
 let test_classification_is_complete () =
   (* every difference of a full campaign falls into a named (non
      "unclassified") cause *)
-  let c = Ijdt_core.Campaign.run ~defects:paper () in
+  let c = (Ijdt_core.Campaign.run_supervised ~defects:paper ()).sup_campaign in
   List.iter
     (fun (_, cause, _) ->
       check_bool ("classified: " ^ cause) false

@@ -209,26 +209,10 @@ let run_subset jobs =
      not depend on what an earlier test happened to warm up *)
   Solver.Solve.reset_cache ();
   Concolic.Explorer.reset_cache ();
-  let flat =
-    Campaign.run_units ~jobs ~validate:true
-      ~defects:Interpreter.Defects.paper ~arches:Jit.Codegen.all_arches
-      (subset_units ())
-  in
-  {
-    Campaign.defects = Interpreter.Defects.paper;
-    arches = Jit.Codegen.all_arches;
-    results =
-      List.map
-        (fun c ->
-          {
-            Campaign.compiler = c;
-            instructions =
-              List.filter_map
-                (fun (c', r) -> if c' = c then Some r else None)
-                flat;
-          })
-        Jit.Cogits.all;
-  }
+  (Campaign.run_supervised ~jobs ~validate:true
+     ~defects:Interpreter.Defects.paper ~arches:Jit.Codegen.all_arches
+     ~units:(subset_units ()) ())
+    .sup_campaign
 
 (* count-based renderings only: figures 6-7 print wall-clock times,
    which no scheduler can make reproducible *)
@@ -269,11 +253,12 @@ let test_campaign_determinism () =
    slot and the fault-tagged caches; outcomes must not depend on which
    domain ran which mutant. *)
 
-let run_kill_matrix jobs =
+let run_kill_matrix ?workers ?journal ?resume jobs =
   Solver.Solve.reset_cache ();
   Concolic.Explorer.reset_cache ();
   Campaign.reset_kill_cache ();
-  Campaign.kill_matrix ~jobs ~per_operator:1 ~gen:4 ~seed:42 ()
+  Campaign.kill_matrix ~jobs ?workers ?journal ?resume ~per_operator:1 ~gen:4
+    ~seed:42 ()
 
 let render_kill_table (m : Campaign.kill_matrix) =
   let buf = Buffer.create 4096 in
@@ -301,6 +286,42 @@ let test_kill_matrix_determinism () =
     (render_kill_table m8);
   Alcotest.(check (list string))
     "mutant outcomes identical" (outcome_strings m1) (outcome_strings m8)
+
+(* The mutation instance of the process-pool and journal plumbing:
+   mutants dealt to worker processes, and a journalled run cut short
+   and resumed (under workers, so the pool skips the journalled units),
+   must both reproduce the in-process single-shot matrix. *)
+
+let check_same_matrix label (a : Campaign.kill_matrix) (b : Campaign.kill_matrix) =
+  check_string (label ^ ": kill table") (render_kill_table a) (render_kill_table b);
+  Alcotest.(check (list string))
+    (label ^ ": mutant outcomes") (outcome_strings a) (outcome_strings b);
+  check_bool (label ^ ": supervision counts") true
+    (a.km_robustness = b.km_robustness)
+
+let test_kill_matrix_workers () =
+  let inproc = run_kill_matrix 1 in
+  let w2 = run_kill_matrix ~workers:2 1 in
+  check_same_matrix "workers=2 == in-process" inproc w2;
+  check_bool "workers run reports pool stats" true (w2.km_process <> None)
+
+let test_kill_matrix_resume () =
+  let file = Filename.temp_file "ijdt-kill-journal" ".jsonl" in
+  let single = run_kill_matrix ~journal:file 2 in
+  let ic = open_in_bin file in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  (* the header and the first half of the unit lines, then half of the
+     next line, torn as a killed writer would leave it *)
+  let keep = 1 + (List.length lines / 2) in
+  let torn = List.nth lines keep in
+  let oc = open_out_bin file in
+  List.iteri (fun i l -> if i < keep then output_string oc (l ^ "\n")) lines;
+  output_string oc (String.sub torn 0 (String.length torn / 2));
+  close_out oc;
+  let resumed = run_kill_matrix ~workers:2 ~resume:file 1 in
+  Sys.remove file;
+  check_same_matrix "resumed == single-shot" single resumed
 
 (* --- supervised chaos determinism: -j 1 == -j 8, faults injected ---
 
@@ -531,4 +552,8 @@ let suite =
       test_wire_decoder_recovery;
     Alcotest.test_case "procpool determinism --workers 1 == 4 == in-process"
       `Slow test_procpool_determinism;
+    Alcotest.test_case "kill-matrix in worker processes == in-process" `Slow
+      test_kill_matrix_workers;
+    Alcotest.test_case "kill-matrix journal truncate/resume == single-shot"
+      `Slow test_kill_matrix_resume;
   ]

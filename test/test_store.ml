@@ -238,26 +238,10 @@ let subset_units () =
 let run_subset jobs =
   Solver.Solve.reset_cache ();
   Concolic.Explorer.reset_cache ();
-  let flat =
-    Campaign.run_units ~jobs ~validate:true
-      ~defects:Interpreter.Defects.paper ~arches:Jit.Codegen.all_arches
-      (subset_units ())
-  in
-  {
-    Campaign.defects = Interpreter.Defects.paper;
-    arches = Jit.Codegen.all_arches;
-    results =
-      List.map
-        (fun c ->
-          {
-            Campaign.compiler = c;
-            instructions =
-              List.filter_map
-                (fun (c', r) -> if c' = c then Some r else None)
-                flat;
-          })
-        Jit.Cogits.all;
-  }
+  (Campaign.run_supervised ~jobs ~validate:true
+     ~defects:Interpreter.Defects.paper ~arches:Jit.Codegen.all_arches
+     ~units:(subset_units ()) ())
+    .sup_campaign
 
 let render_counts (c : Campaign.t) =
   let buf = Buffer.create 4096 in

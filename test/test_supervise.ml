@@ -192,6 +192,27 @@ let test_journal_roundtrip () =
     (Hashtbl.length (J.load ~config:"test|v1" (file ^ ".nope")));
   Sys.remove file
 
+(* Journals written before the escaper was shared with the JSON
+   reports spell carriage return and tab as short escapes; they must
+   still load, next to lines written today (which use \u00XX). *)
+let test_journal_old_escapes () =
+  let file = Filename.temp_file "ijdt-journal" ".jsonl" in
+  let oc = open_out_bin file in
+  J.write_header oc ~config:"esc";
+  output_string oc
+    "{\"key\":\"old\",\"status\":\"crashed\",\"attempts\":1,\
+     \"detail\":\"a\\tb\\rc\",\"payload\":\"\"}\n";
+  let fresh =
+    { J.key = "new"; status = J.Crashed; attempts = 1; detail = "a\tb\rc"; payload = "" }
+  in
+  J.append oc fresh;
+  close_out oc;
+  let t = J.load ~config:"esc" file in
+  check_bool "old \\t/\\r escapes decode" true
+    ((Hashtbl.find t "old").J.detail = "a\tb\rc");
+  check_bool "\\u00XX escapes round-trip" true (Hashtbl.find t "new" = fresh);
+  Sys.remove file
+
 let test_journal_torn_line () =
   let file = Filename.temp_file "ijdt-journal" ".jsonl" in
   let oc = open_out file in
@@ -246,43 +267,10 @@ let test_journal_resume_equivalence () =
   let oc = open_out file in
   J.write_header oc ~config;
   let record i (o : int S.outcome) =
-    let entry =
-      match o.S.verdict with
-      | S.Ok r ->
-          {
-            J.key = string_of_int i;
-            status = J.Ok;
-            attempts = o.S.attempts;
-            detail = "";
-            payload = Marshal.to_string r [];
-          }
-      | S.Timed_out reason ->
-          {
-            J.key = string_of_int i;
-            status = J.Timed_out;
-            attempts = o.S.attempts;
-            detail = reason;
-            payload = "";
-          }
-      | S.Unit_crashed f ->
-          {
-            J.key = string_of_int i;
-            status = J.Crashed;
-            attempts = o.S.attempts;
-            detail = f.S.exn;
-            payload = "";
-          }
-      | S.Worker_died status ->
-          {
-            J.key = string_of_int i;
-            status = J.Worker_died;
-            attempts = o.S.attempts;
-            detail = status;
-            payload = "";
-          }
-      | S.Quarantined _ -> assert false
-    in
-    J.append oc entry
+    J.append oc
+      (J.entry_of_outcome ~key:(string_of_int i)
+         ~encode:(fun r -> Marshal.to_string (r : int) [])
+         o)
   in
   let full =
     S.run ~jobs:4 ~policy:no_retry ~record ~group:(fun _ -> "g") work units
@@ -304,15 +292,7 @@ let test_journal_resume_equivalence () =
   check_int "truncated journal holds 8 units" 8 (Hashtbl.length tbl);
   let pre i =
     Option.map
-      (fun (e : J.entry) ->
-        let verdict =
-          match e.J.status with
-          | J.Ok -> S.Ok (Marshal.from_string e.J.payload 0 : int)
-          | J.Timed_out -> S.Timed_out e.J.detail
-          | J.Crashed -> S.Unit_crashed { S.exn = e.J.detail; backtrace = "" }
-          | J.Worker_died -> S.Worker_died e.J.detail
-        in
-        { S.verdict; attempts = e.J.attempts })
+      (J.outcome_of_entry ~decode:(fun p -> (Marshal.from_string p 0 : int)))
       (Hashtbl.find_opt tbl (string_of_int i))
   in
   let resumed =
@@ -391,6 +371,8 @@ let suite =
       test_breaker_streak_resets;
     Alcotest.test_case "journal entry round-trip" `Quick
       test_journal_roundtrip;
+    Alcotest.test_case "journal reads old \\r/\\t escapes" `Quick
+      test_journal_old_escapes;
     Alcotest.test_case "journal tolerates a torn last line" `Quick
       test_journal_torn_line;
     Alcotest.test_case "resume skips precomputed units" `Quick

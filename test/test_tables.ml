@@ -15,10 +15,11 @@ let test_stats_of () =
 
 let campaign =
   lazy
-    (Ijdt_core.Campaign.run ~defects:Interpreter.Defects.paper
+    (Ijdt_core.Campaign.run_supervised ~defects:Interpreter.Defects.paper
        ~arches:[ Jit.Codegen.X86 ]
        ~compilers:[ Jit.Cogits.Stack_to_register_cogit ]
        ())
+      .sup_campaign
 
 let test_table2_rows () =
   let rows = Ijdt_core.Tables.table2_rows (Lazy.force campaign) in
