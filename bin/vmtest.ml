@@ -225,7 +225,22 @@ let jobs_arg =
            domain count).  Count-based output and JSON reports are \
            byte-identical at any $(docv).")
 
-let json_escape = Exec.Journal.json_escape
+(* Escape a string for a JSON double-quoted literal: quote, backslash
+   and newline get their short escapes, every other control character a
+   \u00XX escape. *)
+let json_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
 
 let defects_label d =
   if d = Interpreter.Defects.paper then "paper"
@@ -285,8 +300,9 @@ let journal_arg =
     & opt (some string) None
     & info [ "journal" ] ~docv:"FILE"
         ~doc:
-          "Append each completed unit verdict to $(docv) (JSONL, \
-           crash-safe: flushed per line).  Resume later with \
+          "Append each completed unit verdict to $(docv) (one \
+           checksummed frame per line, crash-safe: flushed per line; \
+           damaged lines are recomputed on resume).  Resume later with \
            $(b,--resume); the same file may be given to both to \
            continue a killed run in place.")
 

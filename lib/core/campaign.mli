@@ -207,9 +207,11 @@ val run_supervised :
     single-instruction runs; compilers absent from [units] simply
     produce empty rows.  [chaos:(seed, faults)] injects that many
     seeded harness faults via {!Exec.Chaos.plan}.  [journal] appends
-    completed unit verdicts to an append-only JSONL file ([Ok]
-    payloads are marshalled {!instruction_result}s); [resume] preloads
-    such a journal and skips its finished units — the aggregate result
+    completed unit verdicts to an append-only {!Exec.Journal} of
+    checksummed frames ([Ok] payloads are marshalled
+    {!instruction_result}s); [resume] preloads such a journal and skips
+    its finished units, recomputing any whose line does not verify —
+    the aggregate result
     is byte-identical to a fresh run's, though the journal file itself
     is written in completion order.  [journal] and [resume] may name
     the same file to continue a killed run in place.  Verdict counts

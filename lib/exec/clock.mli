@@ -1,19 +1,15 @@
 (** Monotonic wall clock.
 
     All harness timing (campaign phase walls, bench phases, watchdog
-    deadlines) goes through this module rather than
+    and worker-heartbeat deadlines) goes through this module rather than
     [Unix.gettimeofday], so measurements and deadlines survive NTP
     steps and daylight-saving jumps.  Backed by
     [CLOCK_MONOTONIC]/[mach_absolute_time] via the bechamel sublibrary
     already present in the tool-chain; no allocation on the hot path. *)
 
-val now_ns : unit -> int64
-(** Nanoseconds on the monotonic clock.  Only differences are
-    meaningful; the epoch is unspecified (typically boot time). *)
-
 val now : unit -> float
-(** {!now_ns} in seconds, as a float.  Only differences are
-    meaningful. *)
+(** Seconds on the monotonic clock, as a float.  Only differences are
+    meaningful; the epoch is unspecified (typically boot time). *)
 
 val elapsed : float -> float
 (** [elapsed t0] is [now () -. t0] — seconds since [t0] was sampled

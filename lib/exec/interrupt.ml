@@ -20,5 +20,3 @@ let install () =
   end
 
 let requested () = Atomic.get flag
-let request () = Atomic.set flag true
-let reset () = Atomic.set flag false

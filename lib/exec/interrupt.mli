@@ -11,10 +11,4 @@ val install : unit -> unit
     Idempotent; a no-op on platforms without those signals. *)
 
 val requested : unit -> bool
-(** Has an interrupt been requested (by signal or {!request})? *)
-
-val request : unit -> unit
-(** Set the flag programmatically (tests, nested coordinators). *)
-
-val reset : unit -> unit
-(** Clear the flag (tests). *)
+(** Has an interrupt been requested by a signal? *)

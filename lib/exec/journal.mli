@@ -1,62 +1,37 @@
-(** Append-only JSONL checkpoint journal for supervised runs.
+(** Append-only checkpoint journal for supervised runs.
 
-    One line per {e completed} unit (raw outcome, before the circuit
+    One {!Frame} line per {e completed} unit, holding its key and its
+    raw outcome with the result still encoded (before the circuit
     breaker's post-pass — so a resumed run re-derives quarantines
     deterministically from the same inputs).  The first line is a
-    header carrying a configuration fingerprint; {!load} ignores a
-    journal whose fingerprint does not match the resuming run, and
-    skips unparseable lines, so resuming from a truncated journal (a
-    killed run's torn last write) degrades to recomputing the missing
-    units rather than failing.
+    header frame carrying a configuration fingerprint; {!load} ignores
+    a journal whose header is missing, damaged or written under a
+    different fingerprint, and skips every line whose frame does not
+    verify, so resuming from a truncated or damaged journal (a killed
+    run's torn last write, a flipped byte) degrades to recomputing the
+    affected units rather than failing or reading wrong bytes.
 
     Lines are written under the supervisor's journal mutex in
     completion order, which varies with [-j]; only the {e aggregate}
     output of a resumed run is byte-identical, never the journal
     itself. *)
 
-type status = Ok | Timed_out | Crashed | Worker_died
-
-type entry = {
-  key : string;  (** stable unit key, e.g. ["s2r|dup"] *)
-  status : status;
-  attempts : int;
-  detail : string;  (** exhaustion reason or exception text; [""] for Ok *)
-  payload : string;
-      (** unit result bytes (typically [Marshal] output), hex-armoured
-          on disk; [""] for non-Ok *)
-}
-
 val write_header : out_channel -> config:string -> unit
 (** Emit the header line.  Call once when creating a fresh journal;
     appending to an existing journal keeps its header. *)
 
-val append : ?sync:bool -> out_channel -> entry -> unit
-(** Emit one entry line and flush, so a killed run loses at most the
-    line being written.  With [~sync:true] ([--journal-sync]) the line
-    is also [fsync]ed to stable storage, extending the guarantee from
-    process kills to power-cut-style machine kills; the default's
-    weaker guarantee merely degrades resume to recomputing a lost
-    tail. *)
+val append : ?sync:bool -> out_channel -> key:string -> string Supervise.outcome -> unit
+(** Emit the entry line of the unit keyed [key] (e.g. ["s2r|dup"]),
+    whose [Ok] result is already encoded, and flush, so a killed run
+    loses at most the line being written.  With [~sync:true]
+    ([--journal-sync]) the line is also [fsync]ed to stable storage,
+    extending the guarantee from process kills to power-cut-style
+    machine kills; the default's weaker guarantee merely degrades
+    resume to recomputing a lost tail.  [Quarantined] outcomes are
+    never journaled (a resumed run re-derives them). *)
 
-val load : config:string -> string -> (string, entry) Hashtbl.t
-(** Parse a journal back into a key-indexed table (last entry wins).
+val load : config:string -> string -> (string, string Supervise.outcome) Hashtbl.t
+(** Read a journal back into a key-indexed table (last entry wins).
     Returns an empty table — after a warning on stderr — when the file
-    is missing, has no parseable header, or was written under a
-    different configuration fingerprint. *)
-
-val entry_of_outcome :
-  key:string -> encode:('a -> string) -> 'a Supervise.outcome -> entry
-(** The journal line of one completed unit; [encode] turns an [Ok]
-    result into the payload.  Raises [Invalid_argument] on
-    [Quarantined], which is never journaled (a resumed run re-derives
-    it). *)
-
-val outcome_of_entry : decode:(string -> 'a) -> entry -> 'a Supervise.outcome
-(** Inverse of {!entry_of_outcome}, [decode] reading an [Ok] payload
-    back; a crash's backtrace is not journaled and comes back [""]. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON double-quoted literal:
-    quote, backslash and newline get their short escapes, every other
-    control character becomes a [\u00XX] escape.  Shared by the
-    journal and the CLI's [--json] reports. *)
+    is missing, has no valid header, or was written under a different
+    configuration fingerprint. *)

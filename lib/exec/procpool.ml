@@ -15,7 +15,7 @@
      cooperative watchdog cannot see;
    - any worker death (signal, nonzero exit, preemptive kill) costs one
      attempt of its in-flight unit, which is re-dealt while attempts
-     remain and becomes a [P_died] outcome after that;
+     remain and becomes a [Worker_died] outcome after that;
    - per-slot circuit breaker: [breaker_k] consecutive deaths without a
      completed unit retire the slot (no respawn), so a poisoned
      environment cannot fork-bomb;
@@ -26,11 +26,6 @@
    caller's merge is byte-identical at any worker count; the stats
    fields exposed to reports (deaths, preempted, redeals, garbage) are
    functions of the unit list and the fault plan, not of scheduling. *)
-
-type outcome =
-  | P_result of Unit_wire.verdict * int (* worker-reported verdict, attempts *)
-  | P_died of { status : string; attempts : int }
-  | P_not_run
 
 type stats = {
   p_workers : int;
@@ -91,10 +86,12 @@ type slot = {
 
 let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
     ?(worker_argv = [| "worker" |]) ~hello ?(on_final = fun _ _ -> ())
-    (units : Unit_wire.t array) : outcome array * stats =
+    (units : Unit_wire.t array) : string Supervise.outcome array * stats =
   let n = Array.length units in
   let workers = max 1 (min workers (max 1 n)) in
-  let outcomes = Array.make n P_not_run in
+  let outcomes =
+    Array.make n { Supervise.verdict = Quarantined "interrupted"; attempts = 0 }
+  in
   let attempts = Array.make n 0 in
   let pending = Queue.create () in
   let redeal = Stack.create () in
@@ -130,7 +127,7 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
     s.dec <- Unit_wire.decoder ();
     s.garbage_seen <- 0;
     s.current <- None;
-    s.last_beat <- Unix.gettimeofday ();
+    s.last_beat <- Clock.now ();
     s.alive <- true;
     s.bye_sent <- false;
     s.preempted <- false;
@@ -158,7 +155,7 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
         attempts.(pos) <- attempts.(pos) + 1;
         let u = { units.(pos) with Unit_wire.w_attempt = attempts.(pos) } in
         s.current <- Some pos;
-        s.last_beat <- Unix.gettimeofday ();
+        s.last_beat <- Clock.now ();
         let f = Unit_wire.encode (Unit_wire.Unit u) in
         (* EPIPE here means the worker just died; the EOF path re-deals *)
         (try write_all s.to_worker f 0 (String.length f)
@@ -170,14 +167,14 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
       | None -> ()
       | Some m ->
           (match m with
-          | Unit_wire.Ack _ -> s.last_beat <- Unix.gettimeofday ()
+          | Unit_wire.Ack _ -> s.last_beat <- Clock.now ()
           | Unit_wire.Result { index; attempts = wa; verdict; _ } -> (
-              s.last_beat <- Unix.gettimeofday ();
+              s.last_beat <- Clock.now ();
               match s.current with
               | Some pos when units.(pos).Unit_wire.w_index = index ->
                   s.current <- None;
                   s.streak <- 0;
-                  finalize pos (P_result (verdict, wa))
+                  finalize pos (Unit_wire.outcome_of_verdict ~attempts:wa verdict)
               | _ -> incr garbage (* stray result frame *))
           | Unit_wire.Hello _ | Unit_wire.Unit _ | Unit_wire.Bye ->
               incr garbage (* protocol violation from the worker *));
@@ -201,7 +198,7 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
     let _, status = waitpid_retry s.pid in
     s.alive <- false;
     let expected = !shutdown || (s.bye_sent && s.current = None) in
-    if !shutdown then s.current <- None (* unfinished unit stays P_not_run *);
+    if !shutdown then s.current <- None (* unfinished unit stays never-dealt *);
     if not expected then begin
       incr deaths;
       let status_str =
@@ -214,7 +211,9 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
             Stack.push pos redeal;
             incr redeals
           end
-          else finalize pos (P_died { status = status_str; attempts = attempts.(pos) })
+          else
+            finalize pos
+              { Supervise.verdict = Worker_died status_str; attempts = attempts.(pos) }
       | None -> ());
       s.streak <- s.streak + 1;
       if breaker_k > 0 && s.streak >= breaker_k && not s.retired then begin
@@ -280,7 +279,7 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
         Array.iter
           (fun s -> if s.alive && (not s.bye_sent) && s.current = None then deal s)
           slots;
-        let now = Unix.gettimeofday () in
+        let now = Clock.now () in
         let timeout =
           Array.fold_left
             (fun acc s ->
@@ -313,10 +312,10 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
                   ->
                     reap s))
           readable;
-        (* preemptive wall-clock deadline: a silent busy worker is dead
-           to us — SIGKILL it (works on SIGSTOPped processes too) and
-           let the EOF path account for the death *)
-        let now = Unix.gettimeofday () in
+        (* preemptive deadline on the monotonic clock: a silent busy
+           worker is dead to us — SIGKILL it (works on SIGSTOPped
+           processes too) and let the EOF path account for the death *)
+        let now = Clock.now () in
         Array.iter
           (fun s ->
             if
@@ -330,7 +329,7 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
           slots
       done;
       (* done, interrupted or fully retired: kill the stragglers;
-         anything unfinished stays P_not_run *)
+         anything unfinished stays never-dealt *)
       shutdown := true;
       Array.iter kill_slot slots);
   ( outcomes,
@@ -346,7 +345,7 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
 
 (* --- worker side --- *)
 
-let worker_main (make : string -> Unit_wire.t -> Unit_wire.verdict * int) : unit =
+let worker_main (make : string -> Unit_wire.t -> string Supervise.outcome) : unit =
   Chaos.mark_worker ();
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
   let proto_in = Unix.dup Unix.stdin in
@@ -387,15 +386,20 @@ let worker_main (make : string -> Unit_wire.t -> Unit_wire.verdict * int) : unit
     | None | Some Unit_wire.Bye -> exit 0
     | Some (Unit_wire.Unit u) ->
         (* the Ack doubles as the heartbeat: it restarts the
-           coordinator's wall-clock deadline for this unit *)
+           coordinator's heartbeat deadline for this unit *)
         send (Unit_wire.Ack { index = u.Unit_wire.w_index; attempt = u.Unit_wire.w_attempt });
-        let verdict, attempts = handler u in
+        let o = handler u in
         (match Chaos.take_pending_garbage () with
         | Some g -> send_raw g
         | None -> ());
         send
           (Unit_wire.Result
-             { index = u.Unit_wire.w_index; attempt = u.Unit_wire.w_attempt; attempts; verdict });
+             {
+               index = u.Unit_wire.w_index;
+               attempt = u.Unit_wire.w_attempt;
+               attempts = o.attempts;
+               verdict = Unit_wire.verdict_of_outcome o;
+             });
         loop ()
     | Some _ -> loop () (* stray frame: ignore *)
   in

@@ -11,26 +11,20 @@
     {ul
     {- a worker death (signal, nonzero exit) loses at most the one unit
        in flight; the unit is re-dealt while [retries] attempts remain
-       and becomes [P_died] after that;}
+       and becomes [Worker_died] after that;}
     {- a worker silent past [deadline_s] since its last frame is
        preemptively SIGKILLed (catches SIGSTOP freezes and native
        spins the cooperative {!Budget} watchdog cannot see) — its
-       status string gains a ["deadline "] prefix;}
+       status string gains a ["deadline "] prefix.  The deadline is
+       read from the monotonic {!Clock}, so a wall-clock step cannot
+       kill a healthy worker;}
     {- [breaker_k] consecutive deaths on one slot without a completed
        unit retire the slot permanently (no respawn);}
     {- torn or garbage bytes on a result pipe are counted and resynced
        past by the {!Unit_wire} decoder, never fatal;}
     {- if {!Interrupt.requested} becomes true, all workers are killed
-       and unfinished units are returned as [P_not_run].}} *)
-
-type outcome =
-  | P_result of Unit_wire.verdict * int
-      (** worker-reported verdict and the attempts it consumed *)
-  | P_died of { status : string; attempts : int }
-      (** the worker died with [status] (e.g. ["signal sigkill"],
-          ["exit 2"], ["deadline signal sigkill"]) and the retry
-          budget is exhausted *)
-  | P_not_run  (** never dealt (interrupt, or every slot retired) *)
+       and unfinished units are returned as
+       [Quarantined "interrupted"] with 0 attempts.}} *)
 
 type stats = {
   p_workers : int;  (** effective pool size *)
@@ -53,28 +47,30 @@ val run :
   ?breaker_k:int ->
   ?worker_argv:string array ->
   hello:string ->
-  ?on_final:(int -> outcome -> unit) ->
+  ?on_final:(int -> string Supervise.outcome -> unit) ->
   Unit_wire.t array ->
-  outcome array * stats
+  string Supervise.outcome array * stats
 (** [run ~workers ~hello units] executes every unit in a disposable
     worker process and returns outcomes indexed like [units], plus
-    pool statistics.  [hello] is the opaque configuration payload
-    delivered to each worker before any unit (the campaign marshals
-    its run configuration here).  [on_final i o] fires once per unit
-    when its outcome is final — the journal sink.  [units.(i).w_index]
-    values must be unique (they echo back in result frames);
+    pool statistics.  An outcome is the worker's verdict with its
+    result still encoded; a unit whose retries ran out on worker
+    deaths is [Worker_died status] (e.g. ["signal sigkill"],
+    ["exit 2"], ["deadline signal sigkill"]), and a unit never dealt
+    (interrupt, or every slot retired) is [Quarantined "interrupted"].
+    [hello] is the opaque configuration payload delivered to each
+    worker before any unit (the campaign marshals its run
+    configuration here).  [on_final i o] fires once per unit when its
+    outcome is final — the journal sink; never-dealt units are not
+    final.  [units.(i).w_index] values must be unique (they echo back
+    in result frames);
     [w_attempt] is overwritten with the coordinator's deal count so
     worker-side retries continue the shared attempt budget. *)
 
-val worker_main : (string -> Unit_wire.t -> Unit_wire.verdict * int) -> unit
+val worker_main : (string -> Unit_wire.t -> string Supervise.outcome) -> unit
 (** Worker-process entry point; never returns.  [make] is applied once
     to the [Hello] configuration payload, and the resulting handler
-    maps each dealt unit to [(verdict, attempts)].  Protocol frames
-    travel on the process's original stdin/stdout; fd 1 is re-pointed
-    at [/dev/null] before any unit runs so stray prints cannot corrupt
-    the stream.  Calls {!Chaos.mark_worker} so process-level faults
+    maps each dealt unit to its {!Supervise.execute} outcome.
+    Protocol frames travel on the process's original stdin/stdout; fd
+    1 is re-pointed at [/dev/null] before any unit runs so stray prints
+    cannot corrupt the stream.  Calls {!Chaos.mark_worker} so process-level faults
     armed for the dealt units fire here, in the disposable process. *)
-
-val status_string : Unix.process_status -> string
-(** Stable rendering of a wait status (["exit 2"], ["signal sigkill"],
-    ["stopped sigstop"]) — exported for tests. *)

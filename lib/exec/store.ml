@@ -14,11 +14,13 @@
       "len":N,"sum":"<md5 hex of payload>"}
      <payload bytes>
 
-   The header records the *full* namespace and key (hex-armoured), so a
-   read verifies it got the entry it asked for — an md5 collision or a
-   foreign file is a miss, not a wrong answer.  Torn writes, truncation,
-   bit flips, and version/format drift are all tolerated exactly like
-   the supervision journal: any anomaly makes the entry a miss, never a
+   The header keeps its JSON shape (tools read its "ns"/"key" fields)
+   but takes its hex armour and md5 from {!Frame}.  It records the
+   *full* namespace and key, so a read verifies it got the entry it
+   asked for — an md5 collision or a foreign file is a miss, not a
+   wrong answer.  Torn writes, truncation, bit flips, and
+   version/format drift are all tolerated exactly like the supervision
+   journal: any anomaly makes the entry a miss, never a
    crash, and the payload checksum is verified *before* the bytes are
    handed back (callers unmarshal them, and [Marshal] must never see
    unverified input).
@@ -70,21 +72,6 @@ let reset_stats (t : t) =
   Atomic.set t.loads 0;
   Atomic.set t.writes 0
 
-(* --- hex armour (the journal's convention) --- *)
-
-let to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter
-    (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-    s;
-  Buffer.contents buf
-
-let of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then failwith "odd hex";
-  String.init (n / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
-
 (* --- addressing --- *)
 
 let entry_path t ~ns ~key =
@@ -101,11 +88,11 @@ let ensure_dir d =
 let header ~ns ~key payload =
   Printf.sprintf
     "{\"store\":\"vmtest-store\",\"version\":1,\"ns\":\"%s\",\"key\":\"%s\",\"len\":%d,\"sum\":\"%s\"}\n"
-    (to_hex ns) (to_hex key) (String.length payload)
-    (Digest.to_hex (Digest.string payload))
+    (Frame.to_hex ns) (Frame.to_hex key) (String.length payload)
+    (Frame.checksum payload)
 
-(* Minimal parser for the exact header we write (journal style: enough
-   to read our own lines back, never a general-purpose parser). *)
+(* Minimal parser for the exact header we write: enough to read our
+   own lines back, never a general-purpose parser. *)
 
 let expect line pos lit =
   let n = String.length lit in
@@ -124,9 +111,9 @@ let parse_until line pos stop =
 let parse_header line =
   let pos = ref 0 in
   expect line pos "{\"store\":\"vmtest-store\",\"version\":1,\"ns\":\"";
-  let ns = of_hex (parse_until line pos '"') in
+  let ns = Frame.of_hex (parse_until line pos '"') in
   expect line pos "\",\"key\":\"";
-  let key = of_hex (parse_until line pos '"') in
+  let key = Frame.of_hex (parse_until line pos '"') in
   expect line pos "\",\"len\":";
   let len = int_of_string (parse_until line pos ',') in
   expect line pos ",\"sum\":\"";
@@ -152,14 +139,13 @@ let find t ~ns ~key : string option =
               try
                 let line = input_line ic in
                 let e_ns, e_key, len, sum = parse_header line in
-                if e_ns <> ns || e_key <> key then None
+                if e_ns <> Some ns || e_key <> Some key then None
                 else if len < 0 then None
                 else begin
                   let payload = really_input_string ic len in
                   (* strict: trailing bytes mean the entry was damaged *)
                   if pos_in ic <> in_channel_length ic then None
-                  else if Digest.to_hex (Digest.string payload) <> sum then
-                    None
+                  else if Frame.checksum payload <> sum then None
                   else Some payload
                 end
               with _ -> None)

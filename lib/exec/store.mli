@@ -30,7 +30,6 @@ val open_store : dir:string -> t
 
 val dir : t -> string
 val stats : t -> stats
-val reset_stats : t -> unit
 
 val find : t -> ns:string -> key:string -> string option
 (** Raw payload lookup.  [None] on any anomaly (missing, torn,

@@ -29,6 +29,17 @@ type policy = {
 let default_policy =
   { retries = 1; fuel = Some 50_000_000; deadline_s = None; breaker_k = 4; seed = 0 }
 
+let map f o =
+  let verdict =
+    match o.verdict with
+    | Ok v -> Ok (f v)
+    | Timed_out r -> Timed_out r
+    | Unit_crashed e -> Unit_crashed e
+    | Worker_died s -> Worker_died s
+    | Quarantined g -> Quarantined g
+  in
+  { o with verdict }
+
 let verdict_name = function
   | Ok _ -> "ok"
   | Timed_out _ -> "timed_out"

@@ -119,6 +119,11 @@ val execute :
     coordinator's deal count as [first], so death re-deals and
     in-worker retries share one budget. *)
 
+val map : ('a -> 'b) -> 'a outcome -> 'b outcome
+(** Map an [Ok] result, keeping every other verdict and the attempts:
+    how a result is encoded for the journal and the wire and decoded
+    back. *)
+
 val tally : 'a outcome array -> counts
 (** Aggregate verdict counts over a slice of outcomes. *)
 

@@ -1,22 +1,11 @@
 (* Serializable unit wire protocol between the campaign coordinator and
    its worker processes (the procpool).
 
-   Framing follows the journal's armouring discipline: every message is
-   one text line,
-
-     vmw1|<len:8 hex>|<md5 hex of payload>|<payload, hex-armoured>\n
-
-   where the payload is [Marshal] output.  The length is the payload's
-   byte count before armouring.  Because frames are length-prefixed and
-   checksummed, a torn frame (worker killed mid-write), injected
-   garbage, or a stray print that escaped onto the protocol pipe is a
-   counted incident the decoder resynchronises past — [Marshal] never
-   sees unverified bytes, exactly like the store and the journal.
-
-   The decoder resynchronises *within* a line too: garbage written
-   without a trailing newline glues onto the front of the next valid
-   frame, so after a failed decode it scans for the magic at a later
-   offset and retries the suffix. *)
+   Every message is one {!Frame} with magic "vmw1|" whose payload is
+   [Marshal] output, so a torn frame (worker killed mid-write),
+   injected garbage, or a stray print that escaped onto the protocol
+   pipe is a counted incident the reader resynchronises past — [Marshal]
+   never sees unverified bytes. *)
 
 type t = {
   w_index : int; (* stable global unit index — the merge key *)
@@ -39,106 +28,33 @@ type msg =
 
 let magic = "vmw1|"
 
-(* --- hex armour (the journal's convention) --- *)
+let encode (m : msg) = Frame.encode ~magic (Marshal.to_string m [])
 
-let to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter
-    (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-    s;
-  Buffer.contents buf
+let parse payload = try Some (Marshal.from_string payload 0 : msg) with _ -> None
 
-let of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then failwith "odd hex";
-  String.init (n / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+let decode_line line = Option.bind (Frame.decode ~magic line) parse
 
-(* --- pure frame codec --- *)
+let verdict_of_outcome (o : string Supervise.outcome) =
+  match o.verdict with
+  | Supervise.Ok payload -> W_ok payload
+  | Supervise.Timed_out reason -> W_timed_out reason
+  | Supervise.Unit_crashed { exn; backtrace } -> W_crashed { exn; backtrace }
+  | Supervise.Worker_died _ | Supervise.Quarantined _ ->
+      invalid_arg "Unit_wire.verdict_of_outcome: not a worker-side verdict"
 
-let encode m =
-  let payload = Marshal.to_string m [] in
-  Printf.sprintf "%s%08x|%s|%s\n" magic (String.length payload)
-    (Digest.to_hex (Digest.string payload))
-    (to_hex payload)
-
-(* [line] excludes the trailing newline.  Any malformation — wrong
-   magic, bad length, checksum mismatch, unmarshallable payload — is
-   [None], never an exception. *)
-let decode_line line : msg option =
-  let ml = String.length magic in
-  (* vmw1| 8-hex | 32-hex | at least zero payload chars *)
-  if String.length line < ml + 8 + 1 + 32 + 1 then None
-  else if String.sub line 0 ml <> magic then None
-  else
-    match int_of_string ("0x" ^ String.sub line ml 8) with
-    | exception _ -> None
-    | len ->
-        if len < 0 || line.[ml + 8] <> '|' || line.[ml + 41] <> '|' then None
-        else
-          let sum = String.sub line (ml + 9) 32 in
-          let hex_start = ml + 42 in
-          if String.length line <> hex_start + (2 * len) then None
-          else begin
-            match of_hex (String.sub line hex_start (2 * len)) with
-            | exception _ -> None
-            | payload ->
-                if Digest.to_hex (Digest.string payload) <> sum then None
-                else ( try Some (Marshal.from_string payload 0 : msg) with _ -> None)
-          end
-
-(* --- incremental decoder with garbage accounting --- *)
-
-type decoder = {
-  mutable dpending : string; (* bytes received, no complete line yet *)
-  dqueue : msg Queue.t;
-  mutable dgarbage : int; (* invalid lines / torn frames recovered past *)
-}
-
-let decoder () = { dpending = ""; dqueue = Queue.create (); dgarbage = 0 }
-
-let find_magic line from =
-  let n = String.length line and m = String.length magic in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = magic then Some i
-    else go (i + 1)
+let outcome_of_verdict ~attempts v : string Supervise.outcome =
+  let verdict =
+    match v with
+    | W_ok payload -> Supervise.Ok payload
+    | W_timed_out reason -> Supervise.Timed_out reason
+    | W_crashed { exn; backtrace } -> Supervise.Unit_crashed { exn; backtrace }
   in
-  go from
+  { verdict; attempts }
 
-let rec handle_line d line =
-  if String.length line <> 0 then
-    match decode_line line with
-    | Some m -> Queue.add m d.dqueue
-    | None -> (
-        d.dgarbage <- d.dgarbage + 1;
-        (* resync: garbage glued in front of a valid frame *)
-        match find_magic line 1 with
-        | Some i -> handle_line d (String.sub line i (String.length line - i))
-        | None -> ())
+type decoder = msg Frame.reader
 
-let feed d s =
-  d.dpending <- d.dpending ^ s;
-  let rec go () =
-    match String.index_opt d.dpending '\n' with
-    | None -> ()
-    | Some i ->
-        let line = String.sub d.dpending 0 i in
-        d.dpending <-
-          String.sub d.dpending (i + 1) (String.length d.dpending - i - 1);
-        handle_line d line;
-        go ()
-  in
-  go ()
-
-let next d = Queue.take_opt d.dqueue
-let garbage d = d.dgarbage
-let pending d = String.length d.dpending
-
-(* A writer that died mid-frame leaves a newline-less tail; at EOF it
-   is either a complete frame missing only its newline or a counted
-   torn frame. *)
-let eof d =
-  let rest = d.dpending in
-  d.dpending <- "";
-  if String.length rest <> 0 then handle_line d rest
+let decoder () = Frame.reader ~magic parse
+let feed = Frame.feed
+let next = Frame.next
+let garbage = Frame.garbage
+let eof = Frame.eof

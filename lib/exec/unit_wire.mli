@@ -1,12 +1,10 @@
 (** Serializable wire protocol between the campaign coordinator and its
     worker processes ({!Procpool}).
 
-    Every message is one self-delimiting text line:
-    [vmw1|<len:8 hex>|<md5 hex>|<hex-armoured Marshal payload>\n] —
-    length-prefixed and checksummed like the journal, so torn frames
-    and injected garbage are counted incidents the decoder recovers
-    from, never crashes, and [Marshal] only ever sees bytes whose
-    checksum verified. *)
+    Every message is one {!Frame} with magic [vmw1|] carrying a
+    [Marshal] payload, so torn frames and injected garbage are counted
+    incidents the decoder recovers from, never crashes, and [Marshal]
+    only ever sees bytes whose checksum verified. *)
 
 type t = {
   w_index : int;  (** stable global unit index — the merge key *)
@@ -37,7 +35,17 @@ val decode_line : string -> msg option
     magic, bad length, checksum mismatch, unmarshallable payload — is
     [None], never an exception. *)
 
-(** Incremental decoder over an arbitrary byte stream. *)
+val verdict_of_outcome : string Supervise.outcome -> verdict
+(** The wire form of a worker's {!Supervise.execute} verdict.  Raises
+    [Invalid_argument] on [Worker_died] and [Quarantined], which only
+    the coordinator produces. *)
+
+val outcome_of_verdict : attempts:int -> verdict -> string Supervise.outcome
+(** Inverse of {!verdict_of_outcome}, with the attempts the worker
+    reported. *)
+
+(** Incremental decoder over an arbitrary byte stream
+    ({!Frame.reader} over [msg]). *)
 type decoder
 
 val decoder : unit -> decoder
@@ -53,9 +61,6 @@ val next : decoder -> msg option
 
 val garbage : decoder -> int
 (** Invalid lines / torn frames recovered past so far. *)
-
-val pending : decoder -> int
-(** Bytes buffered without a terminating newline. *)
 
 val eof : decoder -> unit
 (** Flush the newline-less tail (a complete frame missing only its

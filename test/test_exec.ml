@@ -350,6 +350,62 @@ let unit_report_strings (s : Campaign.supervised) =
         u.ur_attempts)
     s.sup_units
 
+(* A journal line whose checksummed bytes were damaged on disk must not
+   reach [Marshal]: resuming from it recomputes that unit and nothing
+   else, and the result is the single-shot run's. *)
+
+let damage_last_hex_run line =
+  let is_hex c = match c with '0' .. '9' | 'a' .. 'f' -> true | _ -> false in
+  let stop = ref (String.length line) in
+  while !stop > 0 && not (is_hex line.[!stop - 1]) do decr stop done;
+  let start = ref !stop in
+  while !start > 0 && is_hex line.[!start - 1] do decr start done;
+  let b = Bytes.of_string line in
+  let mid = (!start + !stop) / 2 in
+  Bytes.set b mid (if line.[mid] = '0' then '1' else '0');
+  Bytes.to_string b
+
+let read_lines file =
+  let ic = open_in_bin file in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  List.filter (fun l -> l <> "") lines
+
+let test_campaign_resume_damaged_payload () =
+  let units =
+    List.concat_map
+      (fun c -> List.map (fun s -> (c, s)) (take 2 (Campaign.subjects_for c)))
+      Jit.Cogits.all
+  in
+  let run ?journal ?resume () =
+    Solver.Solve.reset_cache ();
+    Concolic.Explorer.reset_cache ();
+    Campaign.run_supervised ~jobs:1 ~max_iterations:8 ?journal ?resume ~units ()
+  in
+  let file = Filename.temp_file "ijdt-campaign-journal" ".log" in
+  let again = Filename.temp_file "ijdt-campaign-journal" ".log" in
+  Sys.remove again;
+  let single = run ~journal:file () in
+  (* damage the first unit line (an Ok entry) inside its payload *)
+  let lines =
+    List.mapi (fun i l -> if i = 1 then damage_last_hex_run l else l) (read_lines file)
+  in
+  let oc = open_out_bin file in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc;
+  let resumed = run ~journal:again ~resume:file () in
+  check_int "only the damaged unit recomputed" 2 (List.length (read_lines again));
+  Sys.remove file;
+  Sys.remove again;
+  Alcotest.(check (list string))
+    "per-unit verdicts == single-shot"
+    (unit_report_strings single) (unit_report_strings resumed);
+  check_string "tables == single-shot" (render_counts single.sup_campaign)
+    (render_counts resumed.sup_campaign);
+  Alcotest.(check (list string))
+    "witnesses == single-shot"
+    (witnesses single.sup_campaign) (witnesses resumed.sup_campaign)
+
 let test_supervised_chaos_determinism () =
   let s1 = run_chaos_subset 1 in
   let s8 = run_chaos_subset 8 in
@@ -437,6 +493,62 @@ let qcheck_wire_chunked_stream =
         match Wire.next dec with Some m -> drain (m :: acc) | None -> List.rev acc
       in
       drain [] = msgs && Wire.garbage dec = 0)
+
+(* Byte-level damage to one frame: the decoder must return nothing or
+   exactly the payload that was framed, never raise; and the resyncing
+   reader must still recover a frame behind junk glued to its front. *)
+
+type frame_damage = Subst of int * char | Truncate of int | Prefix of string
+
+let frame_magic = "tst1|"
+
+let frame_damage_arb =
+  let text n = QCheck.Gen.(oneof [ wire_string_gen; string_size ~gen:char (int_bound n) ]) in
+  let damage =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun i c -> Subst (i, c)) nat char;
+          map (fun i -> Truncate i) nat;
+          map (fun s -> Prefix s) (text 12);
+        ])
+  in
+  let print (p, d) =
+    Printf.sprintf "%S / %s" p
+      (match d with
+      | Subst (i, c) -> Printf.sprintf "subst %d %C" i c
+      | Truncate i -> Printf.sprintf "truncate %d" i
+      | Prefix j -> Printf.sprintf "prefix %S" j)
+  in
+  QCheck.make ~print QCheck.Gen.(pair (text 64) damage)
+
+let qcheck_frame_damage =
+  QCheck.Test.make ~name:"qcheck: damaged frames decode to nothing or the payload"
+    ~count:2000 frame_damage_arb (fun (payload, damage) ->
+      let frame = Exec.Frame.encode ~magic:frame_magic payload in
+      let line = String.sub frame 0 (String.length frame - 1) in
+      let n = String.length line in
+      let damaged =
+        match damage with
+        | Subst (i, c) -> String.mapi (fun j x -> if j = i mod n then c else x) line
+        | Truncate i -> String.sub line 0 (i mod n)
+        | Prefix junk -> junk ^ line
+      in
+      let decoded_ok =
+        match Exec.Frame.decode ~magic:frame_magic damaged with
+        | None -> true
+        | Some p -> p = payload
+      in
+      let r = Exec.Frame.reader ~magic:frame_magic Option.some in
+      Exec.Frame.feed r damaged;
+      Exec.Frame.eof r;
+      let rec drain acc =
+        match Exec.Frame.next r with Some p -> drain (p :: acc) | None -> acc
+      in
+      let read = drain [] in
+      decoded_ok
+      && List.for_all (String.equal payload) read
+      && match damage with Prefix _ -> read = [ payload ] | _ -> List.length read <= 1)
 
 let ack1 = Wire.Ack { index = 1; attempt = 1 }
 
@@ -556,4 +668,7 @@ let suite =
       test_kill_matrix_workers;
     Alcotest.test_case "kill-matrix journal truncate/resume == single-shot"
       `Slow test_kill_matrix_resume;
+    Alcotest.test_case "campaign resume past a damaged journal payload"
+      `Slow test_campaign_resume_damaged_payload;
+    QCheck_alcotest.to_alcotest qcheck_frame_damage;
   ]

@@ -9,9 +9,9 @@
      group, byte-identically at -j1 and -j8, and a success resets the
      streak;
    - journal: entry round-trip (binary payloads, newlines in details,
-     last-entry-wins), config-fingerprint rejection, torn-line
-     tolerance, and a full record/truncate/resume cycle whose resumed
-     outcomes match the single-shot run;
+     every journaled verdict, last-entry-wins), config-fingerprint
+     rejection, torn-line tolerance, and a full record/truncate/resume
+     cycle whose resumed outcomes match the single-shot run;
    - qcheck: chaos faults are contained at exactly their targets,
      independent of -j. *)
 
@@ -154,73 +154,41 @@ let test_breaker_streak_resets () =
 (* --- journal --- *)
 
 let test_journal_roundtrip () =
-  let file = Filename.temp_file "ijdt-journal" ".jsonl" in
-  let oc = open_out file in
+  let file = Filename.temp_file "ijdt-journal" ".log" in
+  let oc = open_out_bin file in
   J.write_header oc ~config:"test|v1";
-  let e1 =
+  let o1 = { S.verdict = S.Ok "\x00binary\xff\"quote\\slash\n"; attempts = 1 } in
+  let o2 = { S.verdict = S.Timed_out "fuel"; attempts = 2 } in
+  let o3 =
     {
-      J.key = "a|x";
-      status = J.Ok;
-      attempts = 1;
-      detail = "";
-      payload = "\x00binary\xff\"quote\\slash";
-    }
-  in
-  let e2 =
-    { J.key = "a|y"; status = J.Timed_out; attempts = 2; detail = "fuel"; payload = "" }
-  in
-  let e3 =
-    {
-      J.key = "a|z";
-      status = J.Crashed;
+      S.verdict = S.Unit_crashed { exn = "Failure(\"two\nlines\")"; backtrace = "" };
       attempts = 2;
-      detail = "Failure(\"two\nlines\")";
-      payload = "";
     }
   in
-  List.iter (J.append oc) [ e1; e2; e3 ];
-  J.append oc { e2 with J.attempts = 3 };
+  let o4 = { S.verdict = S.Worker_died "signal sigkill"; attempts = 2 } in
+  List.iter
+    (fun (key, o) -> J.append oc ~key o)
+    [ ("a|x", o1); ("a|y", o2); ("a|z", o3); ("a|w", o4) ];
+  J.append oc ~key:"a|y" { o2 with S.attempts = 3 };
   close_out oc;
   let t = J.load ~config:"test|v1" file in
-  check_int "three keys" 3 (Hashtbl.length t);
-  check_bool "binary payload intact" true (Hashtbl.find t "a|x" = e1);
-  check_int "last entry wins" 3 (Hashtbl.find t "a|y").J.attempts;
-  check_bool "newline in detail survives" true (Hashtbl.find t "a|z" = e3);
+  check_int "four keys" 4 (Hashtbl.length t);
+  check_bool "binary payload intact" true (Hashtbl.find t "a|x" = o1);
+  check_int "last entry wins" 3 (Hashtbl.find t "a|y").S.attempts;
+  check_bool "newline in detail survives" true (Hashtbl.find t "a|z" = o3);
+  check_bool "worker death survives" true (Hashtbl.find t "a|w" = o4);
   check_int "mismatched config rejected" 0
     (Hashtbl.length (J.load ~config:"other|v2" file));
   check_int "missing file tolerated" 0
     (Hashtbl.length (J.load ~config:"test|v1" (file ^ ".nope")));
   Sys.remove file
 
-(* Journals written before the escaper was shared with the JSON
-   reports spell carriage return and tab as short escapes; they must
-   still load, next to lines written today (which use \u00XX). *)
-let test_journal_old_escapes () =
-  let file = Filename.temp_file "ijdt-journal" ".jsonl" in
-  let oc = open_out_bin file in
-  J.write_header oc ~config:"esc";
-  output_string oc
-    "{\"key\":\"old\",\"status\":\"crashed\",\"attempts\":1,\
-     \"detail\":\"a\\tb\\rc\",\"payload\":\"\"}\n";
-  let fresh =
-    { J.key = "new"; status = J.Crashed; attempts = 1; detail = "a\tb\rc"; payload = "" }
-  in
-  J.append oc fresh;
-  close_out oc;
-  let t = J.load ~config:"esc" file in
-  check_bool "old \\t/\\r escapes decode" true
-    ((Hashtbl.find t "old").J.detail = "a\tb\rc");
-  check_bool "\\u00XX escapes round-trip" true (Hashtbl.find t "new" = fresh);
-  Sys.remove file
-
 let test_journal_torn_line () =
-  let file = Filename.temp_file "ijdt-journal" ".jsonl" in
-  let oc = open_out file in
+  let file = Filename.temp_file "ijdt-journal" ".log" in
+  let oc = open_out_bin file in
   J.write_header oc ~config:"torn";
-  J.append oc
-    { J.key = "k1"; status = J.Ok; attempts = 1; detail = ""; payload = "abc" };
-  J.append oc
-    { J.key = "k2"; status = J.Ok; attempts = 1; detail = ""; payload = "def" };
+  J.append oc ~key:"k1" { S.verdict = S.Ok "abc"; attempts = 1 };
+  J.append oc ~key:"k2" { S.verdict = S.Ok "def"; attempts = 1 };
   close_out oc;
   (* cut the last line mid-way, as a killed writer would *)
   let ic = open_in_bin file in
@@ -232,7 +200,7 @@ let test_journal_torn_line () =
   let t = J.load ~config:"torn" file in
   check_int "torn entry dropped, earlier kept" 1 (Hashtbl.length t);
   check_bool "the surviving one parses" true
-    ((Hashtbl.find t "k1").J.payload = "abc");
+    ((Hashtbl.find t "k1").S.verdict = S.Ok "abc");
   Sys.remove file
 
 let test_resume_skips_precomputed () =
@@ -267,10 +235,8 @@ let test_journal_resume_equivalence () =
   let oc = open_out file in
   J.write_header oc ~config;
   let record i (o : int S.outcome) =
-    J.append oc
-      (J.entry_of_outcome ~key:(string_of_int i)
-         ~encode:(fun r -> Marshal.to_string (r : int) [])
-         o)
+    J.append oc ~key:(string_of_int i)
+      (S.map (fun r -> Marshal.to_string (r : int) []) o)
   in
   let full =
     S.run ~jobs:4 ~policy:no_retry ~record ~group:(fun _ -> "g") work units
@@ -292,7 +258,7 @@ let test_journal_resume_equivalence () =
   check_int "truncated journal holds 8 units" 8 (Hashtbl.length tbl);
   let pre i =
     Option.map
-      (J.outcome_of_entry ~decode:(fun p -> (Marshal.from_string p 0 : int)))
+      (S.map (fun p -> (Marshal.from_string p 0 : int)))
       (Hashtbl.find_opt tbl (string_of_int i))
   in
   let resumed =
@@ -371,8 +337,6 @@ let suite =
       test_breaker_streak_resets;
     Alcotest.test_case "journal entry round-trip" `Quick
       test_journal_roundtrip;
-    Alcotest.test_case "journal reads old \\r/\\t escapes" `Quick
-      test_journal_old_escapes;
     Alcotest.test_case "journal tolerates a torn last line" `Quick
       test_journal_torn_line;
     Alcotest.test_case "resume skips precomputed units" `Quick
